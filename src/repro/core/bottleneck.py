@@ -69,6 +69,20 @@ def label_operators(
     return labels
 
 
+def saturated_ops(dag: DataflowDAG, result: SimResult) -> set[str]:
+    """Label augmentation (DESIGN.md §4): tunable operators observed at
+    CPU saturation while the sources are throttled. Such an operator is
+    an incipient bottleneck even when backpressure sits below the
+    detection threshold. Timely never throttles, so there Algorithm 1's
+    labels stand alone. Offline labels (``history``) and online feedback
+    (``core.tuner``) both apply this one rule."""
+    if result.throttle >= 0.995:
+        return set()
+    return {
+        o for o in dag.tunable_operators() if result.metrics[o].observed_cpu > 0.98
+    }
+
+
 def labelled_ops(labels: dict[str, int]) -> list[str]:
     """Operators with a definite label (0 or 1)."""
     return [o for o, label in labels.items() if label != UNLABELLED]

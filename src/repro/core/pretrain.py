@@ -18,6 +18,7 @@ from repro.core.gnn import GNN, GraphSample
 from repro.graphs.clustering import elbow_k, kmeans_ged, nearest_center
 from repro.graphs.dag import DataflowDAG
 from repro.history import HistoryRecord
+from repro.sim.workloads import P_MAX
 
 
 def record_to_sample(rec: HistoryRecord, fe: FeatureEncoder) -> GraphSample:
@@ -54,7 +55,6 @@ class PretrainedBundle:
     centers: list[DataflowDAG]
     encoders: list[GNN]
     cluster_records: list[list[HistoryRecord]]
-    system: str = "flink"
     train_acc: list[float] = field(default_factory=list)
 
     def cluster_for(self, dag: DataflowDAG) -> int:
@@ -112,20 +112,23 @@ def pretrain(
     dim: int = 32,
     epochs: int = 50,
     seed: int = 0,
-    p_max: int = 100,
-    system: str = "flink",
     spark=None,
 ) -> PretrainedBundle:
     """Cluster the history by GED and pre-train one GNN per cluster.
 
     ``k=None`` selects k with the elbow method over the distinct DAG
     structures (paper §V-A). ``spark`` distributes the k-means assignment
-    step; training itself is per-cluster numpy (graphs are tiny)."""
+    step; training itself is per-cluster numpy (graphs are tiny). The
+    parallelism scale is the ``p_max`` of the engine the history was
+    recorded on, so the history must come from a single engine."""
     if not records:
         raise ValueError("empty history")
+    systems = sorted({r.system for r in records})
+    if len(systems) > 1:
+        raise ValueError(f"history mixes engines {systems}; pre-train one bundle per engine")
     dags = [DataflowDAG.from_json(r.dag_json) for r in records]
     fe = FeatureEncoder().fit(
-        [(dag, r.rates) for dag, r in zip(dags, records)], p_max=p_max
+        [(dag, r.rates) for dag, r in zip(dags, records)], p_max=P_MAX[systems[0]]
     )
     if k is None:
         # Elbow over distinct structures only (identical DAGs add nothing).
@@ -158,7 +161,6 @@ def pretrain(
         centers=clust.centers,
         encoders=encoders,
         cluster_records=cluster_records,
-        system=system,
         train_acc=accs,
     )
 
@@ -169,11 +171,7 @@ def pretrain_global(
     dim: int = 32,
     epochs: int = 50,
     seed: int = 0,
-    p_max: int = 100,
-    system: str = "flink",
 ) -> PretrainedBundle:
     """The §VII fallback for limited histories: skip clustering and train
     a single global encoder (one cluster containing everything)."""
-    return pretrain(
-        records, k=1, dim=dim, epochs=epochs, seed=seed, p_max=p_max, system=system
-    )
+    return pretrain(records, k=1, dim=dim, epochs=epochs, seed=seed)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.bottleneck import label_operators
+from repro.core.bottleneck import label_operators, saturated_ops
 from repro.core.monotonic import make_model, min_safe_parallelism
 from repro.core.pretrain import PretrainedBundle, op_vectors
 from repro.sim.engine import simulate
@@ -152,28 +152,21 @@ class StreamTuneTuner:
         """ΔT from the deployed configuration (Alg. 2, lines 10–11).
 
         Beyond Algorithm 1's labels, operators observed at CPU
-        saturation (≥ 95 %) are recorded as incipient bottlenecks even
-        when backpressure is still below the 10 % detection cut-off —
-        these near-edge positives teach M_f the true capacity boundary,
-        not merely the detection boundary (see DESIGN.md §4)."""
+        saturation (> 98 %) while the sources are throttled are recorded
+        as incipient bottlenecks even when backpressure is still below
+        the 10 % detection cut-off — these near-edge positives teach M_f
+        the true capacity boundary, not merely the detection boundary.
+        The rule is :func:`saturated_ops`, the same one that labels the
+        offline history."""
         labels = label_operators(self.wl.dag, result)
         fe = self.bundle.feature_encoder
         key = self._rate_key(rates)
-        tunable = set(self.wl.dag.tunable_operators())
+        sat = saturated_ops(self.wl.dag, result)
         for oid, lab in labels.items():
             if oid not in emb:
                 continue
             p_now = int(result.parallelism.get(oid, 1))
-            cannot_keep_up = (
-                result.throttle < 0.995  # Flink: sources throttled
-                if self.wl.system == "flink"
-                else True  # Timely never throttles: saturation = backlog
-            )
-            saturated = (
-                oid in tunable
-                and result.metrics[oid].observed_cpu > 0.98
-                and cannot_keep_up
-            )
+            saturated = oid in sat
             if lab < 0 and not saturated:
                 continue
             eff = 1 if (lab == 1 or saturated) else 0
@@ -426,6 +419,8 @@ class PatternRunStats:
     total_reconfigs: int = 0
     total_backpressure: int = 0
     final_parallelism_at: dict[int, int] = field(default_factory=dict)
+    #: the parallelism vector reached at each multiplier (last visit)
+    parallelism_at: dict[int, dict[str, int]] = field(default_factory=dict)
     tuning_minutes: list[float] = field(default_factory=list)
 
     @property
@@ -443,8 +438,8 @@ def run_pattern(
 ) -> PatternRunStats:
     """Drive a tuner through a sequence of source-rate multipliers,
     carrying the deployed parallelism across changes (paper §V-C/D/E).
-    Records the final parallelism seen at each multiplier (Fig. 6 reads
-    the 10×W_u entry)."""
+    Records the final parallelism vector and its total at each multiplier
+    (Fig. 6 reads the 10×W_u total, Fig. 8 deploys the 10×W_u vector)."""
     stats = PatternRunStats(job=workload.name, method=method_name)
     par = {o: 1 for o in workload.dag.tunable_operators()}
     for mult in pattern:
@@ -454,5 +449,6 @@ def run_pattern(
         stats.total_reconfigs += out.n_reconfigs
         stats.total_backpressure += out.backpressure_events
         stats.final_parallelism_at[mult] = out.total_parallelism
+        stats.parallelism_at[mult] = par
         stats.tuning_minutes.append(out.tuning_minutes)
     return stats

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.core.bottleneck import label_operators
+from repro.core.bottleneck import label_operators, saturated_ops
 from repro.sim.engine import simulate
 from repro.sim.source_rates import pretrain_rates
 from repro.sim.workloads import Workload
@@ -95,18 +95,10 @@ def _deploy_and_label(
     dag = DataflowDAG.from_json(dag_json)
     res = simulate(dag, parallelism, rates, system=system, seed=seed)
     labels = label_operators(dag, res)
-    # Label augmentation: a CPU-saturated operator is an incipient
-    # bottleneck even when backpressure sits below the detection
-    # threshold. These near-boundary positives densify exactly the region
-    # the fine-tuned model must resolve (DESIGN.md §4).
-    tunable = set(dag.tunable_operators())
-    for oid in tunable:
-        if (
-            res.metrics[oid].observed_cpu > 0.98
-            and res.throttle < 0.995
-            and labels.get(oid, -1) != 1
-        ):
-            labels[oid] = 1
+    # Near-boundary positives densify exactly the region the fine-tuned
+    # model must resolve.
+    for oid in saturated_ops(dag, res):
+        labels[oid] = 1
     return HistoryRecord(
         job=workload_name,
         dag_json=dag_json,

@@ -1,4 +1,5 @@
-"""Dataflow execution substrate: a discrete-time simulator of Flink-like
-and Timely-like stream engines (backpressure physics, metrics, virtual
-clock), the Nexmark/PQP workload catalogue, the periodic source-rate
-pattern, and real-Spark operator cost calibration."""
+"""Dataflow execution substrate: a steady-state simulator of Flink-like
+and Timely-like stream engines with analytic operator costs (backpressure
+physics, the 10 % and 85 % detection rules, noisy metrics, per-epoch
+latency), the Nexmark/PQP workload catalogue and the periodic source-rate
+pattern."""

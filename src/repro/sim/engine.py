@@ -256,16 +256,12 @@ def simulate(
         if np.isfinite(pa[oid]) and inp[oid] > pa[oid] * (1.0 + 1e-9)
     }
 
+    alpha = 1.0
     if system == "flink" and causes:
         # Global source throttle α so the binding bottleneck runs at PA.
-        alpha = min(
-            pa[oid] / inp[oid] for oid in causes if inp[oid] > 0
-        )
-        alpha = float(min(1.0, alpha))
-    else:
-        alpha = 1.0
+        alpha = float(min(1.0, min(pa[oid] / inp[oid] for oid in causes if inp[oid] > 0)))
 
-    if system == "flink":
+    if alpha < 1.0:
         t_rates = {k: v * alpha for k, v in source_rates.items()}
         inp_t, processed_t, _ = _propagate(dag, parallelism, t_rates, system, jitters)
     else:
@@ -282,16 +278,14 @@ def simulate(
         p = parallelism.get(oid, 1)
         cap = pa[oid]
         busy = 0.0 if not np.isfinite(cap) or cap <= 0 else min(1.0, inp_t[oid] / cap)
-        if system == "flink":
-            bp_frac = (1.0 - alpha) if (oid in bp_ancestors and alpha < 1.0) else 0.0
-            bp_frac = min(bp_frac, 1.0 - busy)
-            detected = bp_frac > FLINK_BP_DETECT
-        else:
-            bp_frac = 0.0
-            detected = np.isfinite(cap) and cap < TIMELY_DEFICIT * inp_t[oid]
+        # α = 1 (always so on Timely) leaves no backpressured time.
+        bp_frac = min((1.0 - alpha) if oid in bp_ancestors else 0.0, 1.0 - busy)
         idle = max(0.0, 1.0 - busy - bp_frac)
-        obs_busy = busy * (1.0 + useful_time_bias(dag.name, op))
-        if system == "timely":
+        if system == "flink":
+            detected = bp_frac > FLINK_BP_DETECT
+            obs_busy = busy * (1.0 + useful_time_bias(dag.name, op))
+        else:
+            detected = np.isfinite(cap) and cap < TIMELY_DEFICIT * inp_t[oid]
             obs_busy = busy + TIMELY_SPIN * idle  # spinning looks busy
         obs_busy = float(np.clip(obs_busy * (1.0 + rng.normal(0, BUSY_NOISE_STD)), 1e-6, 1.0))
         obs_cpu = float(np.clip(busy * (1.0 + rng.normal(0, BUSY_NOISE_STD)), 0.0, 1.0))
@@ -315,10 +309,7 @@ def simulate(
             observed_rate=obs_rate,
         )
         metrics[oid] = m
-        if system == "flink":
-            job_bp = job_bp or detected
-        else:
-            job_bp = job_bp or bool(detected)
+        job_bp = job_bp or bool(detected)
     return SimResult(
         dag_name=dag.name,
         system=system,

@@ -24,7 +24,6 @@ from repro.baselines.zerotune import ZeroTuneCostModel, ZeroTuneTuner
 from repro.core.pretrain import PretrainedBundle, pretrain, pretrain_global
 from repro.core.tuner import PatternRunStats, StreamTuneTuner, run_pattern
 from repro.history import HistoryRecord, generate_history, generate_history_local
-from repro.sim import timely as timely_adapter
 from repro.sim.engine import epoch_latencies
 from repro.sim.source_rates import periodic_pattern
 from repro.sim.workloads import SOURCE_RATE_UNITS, Workload, full_catalogue, pqp_groups
@@ -269,9 +268,7 @@ def run_timely_evaluation(
         else (lambda: generate_history_local(workloads, n_per_workload=history_per_workload, seed=13))
     )
     history = gen()
-    bundle = pretrain_global(
-        history, epochs=pretrain_epochs, seed=0, p_max=12, system="timely"
-    )
+    bundle = pretrain_global(history, epochs=pretrain_epochs, seed=0)
     pattern = periodic_pattern(n_permutations=pattern_perms, seed=7)
     rows = []
     for name in report_jobs:
@@ -285,44 +282,22 @@ def run_timely_evaluation(
             )),
         ):
             st = run_pattern(mk(), wl, pattern, method_name=method)
-            par_at_10 = st.final_parallelism_at.get(10)
-            # Latency CDF under the 10·W_u recommendation (the stats only
-            # record totals, so replay one tuning process at that rate).
+            # Latency CDF under the configuration the pattern run reached
+            # at 10·W_u — the one whose total parallelism is reported.
             lat = epoch_latencies(
-                wl.dag,
-                _final_parallelism_at_10(wl, method, st, bundle, model_kind, seed),
-                wl.rates(10),
-                n_epochs=n_epochs,
-                seed=seed,
+                wl.dag, st.parallelism_at[10], wl.rates(10), n_epochs=n_epochs, seed=seed
             )
-            pct = timely_adapter.latency_percentiles(lat)
             rows.append(
                 {
                     "Query": name.replace("nexmark_q", "Q"),
                     "Method": method,
-                    "total parallelism @10Wu": par_at_10,
+                    "total parallelism @10Wu": st.final_parallelism_at[10],
                     "bottleneck events": st.total_backpressure,
-                    "latency p50 (s)": round(pct["p50"], 3),
-                    "latency p99 (s)": round(pct["p99"], 3),
+                    "latency p50 (s)": round(float(np.percentile(lat, 50)), 3),
+                    "latency p99 (s)": round(float(np.percentile(lat, 99)), 3),
                 }
             )
     return pd.DataFrame(rows)
-
-
-def _final_parallelism_at_10(wl, method, stats, bundle, model_kind, seed):
-    """Reconstruct the parallelism vector each method settles on at
-    10·W_u by replaying one tuning process from scratch at that rate."""
-    start = {o: 1 for o in wl.dag.tunable_operators()}
-    if method == "DS2":
-        return DS2Tuner(wl, seed=seed).tune(start, wl.rates(10)).final_parallelism
-    if method == "ContTune":
-        t = ContTuneTuner(wl, seed=seed)
-        out = t.tune(start, wl.rates(10))
-        out = t.tune(out.final_parallelism, wl.rates(10))
-        return out.final_parallelism
-    t = StreamTuneTuner(bundle, wl, model_kind=model_kind, seed=seed)
-    out = t.tune(start, wl.rates(10))
-    return out.final_parallelism
 
 
 # -- Ablations (Fig. 11) -----------------------------------------------------

@@ -1,15 +1,20 @@
 """Unit tests for the dataflow execution simulator."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.graphs.dag import DataflowDAG, Operator
 from repro.sim.engine import (
     FLINK_BP_DETECT,
+    TIMELY_DEFICIT,
     epoch_latencies,
     processing_ability,
     simulate,
     unit_rate,
 )
+from repro.sim.workloads import full_catalogue
 
 
 def _chain(sel: float = 1.0) -> DataflowDAG:
@@ -194,6 +199,19 @@ class TestSimulateFlink:
         assert np.mean(ratios) == pytest.approx(1.0 + bias, abs=0.03)
 
 
+@pytest.mark.parametrize("system", ["flink", "timely"])
+@pytest.mark.parametrize("f_par", [1, 10])
+def test_state_fractions_sum_to_one(system, f_par):
+    """busy + idle + backpressured = 1 for every operator (Flink's three
+    state metrics), under- and over-provisioned."""
+    dag = _chain()
+    rate = unit_rate(dag.op("f"), system) * 3
+    res = simulate(dag, {"f": f_par, "m": 10}, {"in": rate}, system=system, seed=1)
+    assert res.job_backpressure == (f_par == 1)
+    for m in res.metrics.values():
+        assert m.busy + m.idle + m.backpressured == pytest.approx(1.0, abs=1e-12)
+
+
 class TestSimulateTimely:
     def test_no_throttling(self):
         dag = _chain()
@@ -209,6 +227,25 @@ class TestSimulateTimely:
         res = simulate(dag, {"f": 1, "m": 12}, {"in": rate}, system="timely", seed=1)
         assert res.metrics["f"].under_backpressure
         assert res.job_backpressure
+        assert not res.metrics["src"].under_backpressure  # sources never flagged
+
+    def test_85pct_rule(self):
+        """The flag agrees with the paper's rule: processed rate below 85 %
+        of the combined output rate of the upstream operators."""
+        dag = _chain()
+        rate = unit_rate(dag.op("m"), "timely") * 6
+        res = simulate(dag, {"f": 12, "m": 1}, {"in": rate}, system="timely", seed=0)
+        upstream_out = sum(res.metrics[u].output_rate for u in dag.upstream("m"))
+        assert res.metrics["m"].processed_rate < TIMELY_DEFICIT * upstream_out
+        assert res.metrics["m"].under_backpressure
+        assert not res.metrics["f"].under_backpressure
+        assert res.job_backpressure
+
+    def test_source_never_bottleneck(self):
+        dag = _chain()
+        res = simulate(dag, {"f": 1, "m": 1}, {"in": 1e9}, system="timely", seed=0)
+        assert res.job_backpressure
+        assert not res.metrics["src"].under_backpressure
 
     def test_spinning_inflates_observed_busy(self):
         dag = _chain()
@@ -240,9 +277,41 @@ class TestEpochLatencies:
         lat = epoch_latencies(dag, {"f": 1, "m": 12}, {"in": rate}, n_epochs=50, seed=0)
         assert lat[-1] > lat[0] + 10  # backlog accumulates
 
+    def test_latencies_match_provisioning(self):
+        dag = _chain()
+        rate = unit_rate(dag.op("m"), "timely") * 2
+        bad = epoch_latencies(dag, {"f": 4, "m": 1}, {"in": rate}, n_epochs=60, seed=0)
+        good = epoch_latencies(dag, {"f": 4, "m": 4}, {"in": rate}, n_epochs=60, seed=0)
+        assert np.percentile(bad, 99) > np.percentile(good, 99)
+
     def test_deterministic(self):
         dag = _chain()
         rate = unit_rate(dag.op("f"), "timely")
         a = epoch_latencies(dag, {"f": 2, "m": 2}, {"in": rate}, n_epochs=10, seed=3)
         b = epoch_latencies(dag, {"f": 2, "m": 2}, {"in": rate}, n_epochs=10, seed=3)
         np.testing.assert_allclose(a, b)
+
+
+_GOLDEN = json.loads((Path(__file__).with_name("engine_golden.json")).read_text())
+
+
+@pytest.mark.parametrize(
+    "case",
+    _GOLDEN["cases"],
+    ids=lambda c: f"{c['job']}-{c['system']}-x{c['rate_mult']}-p{c['parallelism']}",
+)
+def test_golden_deployments(case):
+    """Every SimResult field of fixed catalogue deployments, pinned: the
+    engine's outputs must not drift under refactoring or optimisation."""
+    wl = full_catalogue(case["system"])[case["job"]]
+    par = {o: case["parallelism"] for o in wl.dag.tunable_operators()}
+    res = simulate(
+        wl.dag, par, wl.rates(case["rate_mult"]), system=case["system"], seed=case["seed"]
+    )
+    assert res.job_backpressure == case["job_backpressure"]
+    assert res.throttle == pytest.approx(case["throttle"], rel=1e-12)
+    assert sorted(res.metrics) == sorted(case["metrics"])
+    for oid, want in case["metrics"].items():
+        m = res.metrics[oid]
+        got = [getattr(m, f) for f in _GOLDEN["fields"]]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15), oid

@@ -61,6 +61,18 @@ class TestPretrainClustered:
         with pytest.raises(ValueError):
             pretrain([], k=1)
 
+    def test_mixed_engine_history_rejected(self, history):
+        timely = full_catalogue("timely")["nexmark_q1"]
+        mixed = history + generate_history_local([timely], n_per_workload=2, seed=5)
+        with pytest.raises(ValueError, match="mixes engines"):
+            pretrain(mixed, k=1)
+
+    def test_parallelism_scale_from_engine(self, bundle):
+        assert bundle.feature_encoder.p_max == 100
+        timely = full_catalogue("timely")["nexmark_q1"]
+        hist = generate_history_local([timely], n_per_workload=4, seed=5)
+        assert pretrain_global(hist, epochs=1).feature_encoder.p_max == 12
+
 
 class TestWarmup:
     def test_warmup_dataset(self, bundle):

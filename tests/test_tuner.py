@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.pretrain import pretrain_global
 from repro.core.tuner import StreamTuneTuner, run_pattern
-from repro.history import generate_history_local
+from repro.history import _deploy_and_label, generate_history_local
 from repro.sim.engine import processing_ability, simulate
 from repro.sim.workloads import nexmark_catalogue
 
@@ -117,6 +117,26 @@ class TestFeedback:
         assert all(w >= 1.0 for w in t._w)
         assert max(t._w) == t.feedback_weight
 
+    def test_timely_saturation_labelled_as_in_history(self):
+        """A Timely operator at ~1.05× its processing ability is CPU
+        saturated but above the 85 % rule: the online feedback labels it
+        exactly as the offline history does."""
+        wl = nexmark_catalogue("timely")["nexmark_q5"]
+        hist = generate_history_local([wl], n_per_workload=10, seed=11)
+        t = StreamTuneTuner(pretrain_global(hist, epochs=2, seed=0), wl, seed=1)
+        par = {o: 4 for o in wl.dag.tunable_operators()}
+        probe = simulate(wl.dag, par, wl.rates(1), system="timely", seed=0).metrics["wagg"]
+        rates = wl.rates(1.05 * probe.pa / probe.input_rate)
+        res = simulate(wl.dag, par, rates, system="timely", seed=3)
+        assert res.metrics["wagg"].observed_cpu > 0.98
+        assert not res.job_backpressure
+        rec = _deploy_and_label(wl.name, wl.dag.to_json(), "timely", rates, par, 3)
+        emb = t._embeddings(rates)
+        n0 = t.dataset_size
+        t._collect_feedback(rates, res, emb)
+        ops = [o for o in rec.labels if o in emb]
+        assert dict(zip(ops, t._y[n0:])) == {o: rec.labels[o] for o in ops}
+
 
 class TestPattern:
     def test_pattern_run_statistics(self, setup):
@@ -128,6 +148,9 @@ class TestPattern:
         assert st.n_processes == 5
         assert st.total_reconfigs >= 1
         assert set(st.final_parallelism_at) <= set(pattern)
+        assert st.final_parallelism_at == {
+            m: sum(v.values()) for m, v in st.parallelism_at.items()
+        }
         assert len(st.tuning_minutes) == 5
 
     def test_backpressure_rare_across_pattern(self, setup):
