@@ -9,7 +9,7 @@ dataset. Each call to :meth:`tune` reacts to a source-rate change:
     fit the monotone model M_f to T;
     for each operator v in topological order:
         h_v  = parallelism-agnostic embedding from the frozen encoder;
-        p_v  = min{p ≤ p_max | M_f(h_v, p) = 0}      (binary search);
+        p_v  = min{p ≤ p_max | M_f(h_v, p) = 0}      (one batched scan);
     redeploy with {p_v}; collect bottleneck labels ΔT; T ← T ∪ ΔT;
   while backpressure persists or the recommendation changed;
 
@@ -198,7 +198,7 @@ class StreamTuneTuner:
                     model,
                     emb[oid],
                     self.wl.p_max,
-                    lambda p: float(fe.scale_parallelism(p)),
+                    fe.scale_parallelism,
                     threshold=threshold,
                 )
         return rec
