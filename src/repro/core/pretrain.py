@@ -17,6 +17,7 @@ from repro.core.features import FeatureEncoder, adjacency
 from repro.core.gnn import GNN, GraphSample
 from repro.graphs.clustering import elbow_k, kmeans_ged, nearest_center
 from repro.graphs.dag import DataflowDAG
+from repro.graphs.ged import GEDCache
 from repro.history import HistoryRecord
 from repro.sim.workloads import P_MAX
 
@@ -126,21 +127,22 @@ def pretrain(
     systems = sorted({r.system for r in records})
     if len(systems) > 1:
         raise ValueError(f"history mixes engines {systems}; pre-train one bundle per engine")
-    dags = [DataflowDAG.from_json(r.dag_json) for r in records]
+    # Records of one job share its DAG string: parse each string once.
+    parsed = {j: DataflowDAG.from_json(j) for j in {r.dag_json for r in records}}
+    dags = [parsed[r.dag_json] for r in records]
     fe = FeatureEncoder().fit(
         [(dag, r.rates) for dag, r in zip(dags, records)], p_max=P_MAX[systems[0]]
     )
+    # One GED memo for the whole clustering: the elbow's k-means runs, the
+    # final one and their similarity centers meet the same pairs again.
+    memo = GEDCache()
     if k is None:
         # Elbow over distinct structures only (identical DAGs add nothing).
-        seen: set[str] = set()
-        distinct = []
+        distinct: dict[str, DataflowDAG] = {}
         for d in dags:
-            ck = d.canonical_key()
-            if ck not in seen:
-                seen.add(ck)
-                distinct.append(d)
-        k = elbow_k(distinct, tau=tau, seed=seed)
-    clust = kmeans_ged(dags, k, tau=tau, seed=seed, spark=spark)
+            distinct.setdefault(d.canonical_key(), d)
+        k = elbow_k(list(distinct.values()), tau=tau, seed=seed, memo=memo)
+    clust = kmeans_ged(dags, k, tau=tau, seed=seed, spark=spark, memo=memo)
     cluster_records: list[list[HistoryRecord]] = [[] for _ in range(k)]
     for rec, a in zip(records, clust.assignments):
         cluster_records[a].append(rec)

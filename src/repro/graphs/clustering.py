@@ -2,10 +2,16 @@
 
 Centroids are *similarity centers* (approximate median graphs), not
 averages; the assignment step computes GED from every DAG to every
-centroid. Because execution histories contain many structurally identical
-DAGs, all GED work is deduplicated through canonical keys and a
-:class:`repro.graphs.ged.GEDCache`, and the assignment step can fan out
-over Spark (one task per unique structure) via ``assign_with_spark``.
+centroid. Execution histories hold few distinct structures, each many
+times over, so k-means runs on the distinct structures weighted by their
+multiplicity, and every GED goes through one
+:class:`repro.graphs.ged.GEDCache` memo. A caller can share that memo
+across calls: ``pretrain`` hands the same one to ``elbow_k``, the final
+``kmeans_ged`` and the similarity centers inside both, so each distinct
+pair of structures costs at most one exact GED per pre-training. The
+assignment step can fan out over Spark (``assign_with_spark``); it then
+computes only the (structure, center) distances the memo lacks, and
+starts no job when it lacks none.
 
 ``elbow_k`` picks k by the elbow method (max second difference of the
 within-cluster distance curve), as in the paper's pre-training setup.
@@ -18,7 +24,7 @@ import numpy as np
 
 from .dag import DataflowDAG
 from .ged import GEDCache
-from .similarity import similarity_center
+from .similarity import dedupe, similarity_center
 
 
 @dataclass
@@ -30,15 +36,20 @@ class ClusteringResult:
 
 
 def _assign_local(
-    graphs: list[DataflowDAG], centers: list[DataflowDAG], cache: GEDCache
+    graphs: list[DataflowDAG],
+    centers: list[DataflowDAG],
+    cache: GEDCache,
+    counts: list[int] | None = None,
 ) -> tuple[list[int], float]:
+    """Nearest center of each graph, and the inertia with graph i counted
+    ``counts[i]`` times (once each by default)."""
     assignments: list[int] = []
     inertia = 0.0
-    for g in graphs:
+    for i, g in enumerate(graphs):
         dists = [cache(g, c) for c in centers]
         k = int(np.argmin(dists))
         assignments.append(k)
-        inertia += dists[k]
+        inertia += dists[k] * (1 if counts is None else counts[i])
     return assignments, inertia
 
 
@@ -46,59 +57,43 @@ def assign_with_spark(
     spark,
     graphs: list[DataflowDAG],
     centers: list[DataflowDAG],
+    *,
+    counts: list[int] | None = None,
+    memo: GEDCache | None = None,
 ) -> tuple[list[int], float]:
-    """Distributed assignment step: one row per *unique* DAG structure,
-    GEDs to all centers computed in parallel with ``mapInPandas``."""
-    import pandas as pd
-    from pyspark.sql import functions as F  # noqa: F401
-    from pyspark.sql.types import (
-        DoubleType,
-        IntegerType,
-        StructField,
-        StructType,
-    )
+    """Distributed assignment step: the (structure, center) GEDs the memo
+    lacks are computed in parallel with ``mapInPandas``, one row per
+    distinct pair, and stored in the memo; the assignment is then read
+    from the memo exactly as :func:`_assign_local` does."""
+    memo = GEDCache() if memo is None else memo
+    todo = memo.missing(graphs, centers)
+    if todo:
+        import pandas as pd
+        from pyspark.sql.types import LongType, StructField, StructType
 
-    keys = [g.canonical_key() for g in graphs]
-    uniq: dict[str, DataflowDAG] = {}
-    for k, g in zip(keys, graphs):
-        uniq.setdefault(k, g)
-    rows = [(i, g.to_json()) for i, g in enumerate(uniq.values())]
-    center_json = [c.to_json() for c in centers]
-    schema = StructType(
-        [
-            StructField("uid", IntegerType()),
-            StructField("cluster", IntegerType()),
-            StructField("dist", DoubleType()),
-        ]
-    )
+        def _compute(batches):
+            from repro.graphs.dag import DataflowDAG as D
+            from repro.graphs.ged import ged as _ged
 
-    def _compute(batches):
-        from repro.graphs.dag import DataflowDAG as D
-        from repro.graphs.ged import ged as _ged
+            for pdf in batches:
+                dists = [
+                    _ged(D.from_json(a), D.from_json(b))
+                    for a, b in zip(pdf["g_json"], pdf["c_json"])
+                ]
+                yield pd.DataFrame({"pid": pdf["pid"], "dist": dists})
 
-        cents = [D.from_json(s) for s in center_json]
-        for pdf in batches:
-            out = []
-            for uid, gj in zip(pdf["uid"], pdf["graph_json"]):
-                g = D.from_json(gj)
-                dists = [_ged(g, c) for c in cents]
-                k = int(np.argmin(dists))
-                out.append((int(uid), k, float(dists[k])))
-            yield pd.DataFrame(out, columns=["uid", "cluster", "dist"])
-
-    sdf = spark.createDataFrame(
-        pd.DataFrame(rows, columns=["uid", "graph_json"])
-    )
-    res = sdf.mapInPandas(_compute, schema=schema).toPandas()
-    by_uid = {int(r.uid): (int(r.cluster), float(r.dist)) for r in res.itertuples()}
-    uniq_keys = list(uniq.keys())
-    key_to_uid = {k: i for i, k in enumerate(uniq_keys)}
-    assignments, inertia = [], 0.0
-    for k in keys:
-        c, d = by_uid[key_to_uid[k]]
-        assignments.append(c)
-        inertia += d
-    return assignments, inertia
+        rows = pd.DataFrame(
+            [(i, g.to_json(), c.to_json()) for i, (g, c) in enumerate(todo)],
+            columns=["pid", "g_json", "c_json"],
+        )
+        schema = StructType(
+            [StructField("pid", LongType()), StructField("dist", LongType())]
+        )
+        res = spark.createDataFrame(rows).mapInPandas(_compute, schema=schema).toPandas()
+        for pid, d in zip(res["pid"], res["dist"]):
+            g, c = todo[int(pid)]
+            memo.put(g, c, int(d))
+    return _assign_local(graphs, centers, memo, counts)
 
 
 def kmeans_ged(
@@ -109,54 +104,53 @@ def kmeans_ged(
     max_iter: int = 10,
     seed: int = 0,
     spark=None,
+    memo: GEDCache | None = None,
 ) -> ClusteringResult:
-    """K-means with GED distances and similarity-center centroids."""
+    """K-means with GED distances and similarity-center centroids.
+
+    ``memo`` shares GEDs with other calls; it changes no result."""
     if k < 1 or k > len(graphs):
         raise ValueError(f"k={k} out of range for {len(graphs)} graphs")
     rng = np.random.default_rng(seed)
-    cache = GEDCache()
+    memo = GEDCache() if memo is None else memo
+    first, counts, of = dedupe(graphs)
+    reps = [graphs[i] for i in first]
     # Initialise on distinct structures when possible, so two centroids do
     # not start (and stay) identical.
-    uniq_idx: list[int] = []
-    seen: set[str] = set()
-    for i, g in enumerate(graphs):
-        ck = g.canonical_key()
-        if ck not in seen:
-            seen.add(ck)
-            uniq_idx.append(i)
-    pool = uniq_idx if len(uniq_idx) >= k else list(range(len(graphs)))
+    pool = first if len(first) >= k else list(range(len(graphs)))
     picks = rng.choice(len(pool), size=k, replace=False)
     centers = [graphs[pool[int(j)]] for j in picks]
-    assignments: list[int] = []
+    assign: list[int] = []  # cluster of each distinct structure
     inertia = 0.0
     it = 0
     for it in range(1, max_iter + 1):
         if spark is not None:
-            new_assign, inertia = assign_with_spark(spark, graphs, centers)
+            new_assign, inertia = assign_with_spark(
+                spark, reps, centers, counts=counts, memo=memo
+            )
         else:
-            new_assign, inertia = _assign_local(graphs, centers, cache)
-        if new_assign == assignments:
-            assignments = new_assign
+            new_assign, inertia = _assign_local(reps, centers, memo, counts)
+        if new_assign == assign:
             break
-        assignments = new_assign
+        assign = new_assign
         new_centers: list[DataflowDAG] = []
         for c in range(k):
-            members = [g for g, a in zip(graphs, assignments) if a == c]
+            members = [g for g, j in zip(graphs, of) if assign[j] == c]
             if members:
-                new_centers.append(similarity_center(members, tau))
+                new_centers.append(similarity_center(members, tau, memo=memo))
             else:  # empty cluster: reseed on the farthest graph
                 far = max(
-                    range(len(graphs)),
-                    key=lambda i: cache(graphs[i], centers[assignments[i]]),
+                    range(len(reps)),
+                    key=lambda r: memo(reps[r], centers[assign[r]]),
                 )
-                new_centers.append(graphs[far])
+                new_centers.append(reps[far])
         if all(
             a.canonical_key() == b.canonical_key()
             for a, b in zip(centers, new_centers)
         ):
             break
         centers = new_centers
-    return ClusteringResult(centers, assignments, float(inertia), it)
+    return ClusteringResult(centers, [assign[j] for j in of], float(inertia), it)
 
 
 def elbow_k(
@@ -165,14 +159,16 @@ def elbow_k(
     k_max: int = 6,
     tau: float = 5.0,
     seed: int = 0,
+    memo: GEDCache | None = None,
 ) -> int:
     """Elbow method: k with the largest curvature (second difference) of
     the inertia curve; falls back to the largest useful k on degenerate
-    curves."""
+    curves. Every k-means run shares ``memo`` (a fresh one by default)."""
+    memo = GEDCache() if memo is None else memo
     n_uniq = len({g.canonical_key() for g in graphs})
     k_hi = min(k_max, n_uniq, len(graphs))
     inertias = [
-        kmeans_ged(graphs, k, tau=tau, seed=seed).inertia
+        kmeans_ged(graphs, k, tau=tau, seed=seed, memo=memo).inertia
         for k in range(1, k_hi + 1)
     ]
     if len(inertias) < 3:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter
 
 from .dag import DataflowDAG
@@ -161,19 +162,69 @@ def ged_within(g1: DataflowDAG, g2: DataflowDAG, tau: float) -> int | None:
 
 
 class GEDCache:
-    """Memoised GED keyed by canonical structure, so the many structurally
-    identical DAGs in an execution history cost one computation."""
+    """GED memo keyed by the unordered pair of canonical structures, so the
+    many structurally identical DAGs of an execution history, and every
+    k-means step that meets the same pair again, cost one computation.
+
+    It stores exact GEDs, and answers a within-τ query from an exact value
+    when it holds one (the A* bound is exact at a full mapping, so
+    ``ged_within(g1, g2, τ) == (d if d <= τ else None)``). Otherwise it
+    runs the pruned :func:`ged_within`: a hit is the exact GED, a miss is
+    remembered as "GED > τ". An exact query runs :func:`ged` at most once
+    per pair. The memo never changes an answer, only how often it is
+    computed; ``misses`` counts the exact searches it ran."""
 
     def __init__(self) -> None:
-        self._cache: dict[tuple[str, str], int] = {}
+        self._exact: dict[tuple[str, str], int] = {}
+        self._above: dict[tuple[str, str], float] = {}  # GED > this τ
         self.misses = 0
 
-    def __call__(self, g1: DataflowDAG, g2: DataflowDAG) -> int:
+    @staticmethod
+    def _pair(g1: DataflowDAG, g2: DataflowDAG) -> tuple[str, str] | None:
         k1, k2 = g1.canonical_key(), g2.canonical_key()
         if k1 == k2:
+            return None
+        return (k1, k2) if k1 < k2 else (k2, k1)
+
+    def __call__(self, g1: DataflowDAG, g2: DataflowDAG) -> int:
+        pair = self._pair(g1, g2)
+        if pair is None:
             return 0
-        key = (k1, k2) if k1 < k2 else (k2, k1)
-        if key not in self._cache:
+        d = self._exact.get(pair)
+        if d is None:
             self.misses += 1
-            self._cache[key] = ged(g1, g2)
-        return self._cache[key]
+            d = self._exact[pair] = ged(g1, g2)
+        return d
+
+    def within(self, g1: DataflowDAG, g2: DataflowDAG, tau: float) -> int | None:
+        """Same answer as ``ged_within(g1, g2, tau)``."""
+        pair = self._pair(g1, g2)
+        d = 0 if pair is None else self._exact.get(pair)
+        if d is None:
+            if self._above.get(pair, -math.inf) >= tau:
+                return None
+            d = ged_within(g1, g2, tau)
+            if d is None:
+                self._above[pair] = tau
+                return None
+            self._exact[pair] = d
+        return d if d <= tau else None
+
+    def missing(
+        self, graphs: list[DataflowDAG], centers: list[DataflowDAG]
+    ) -> list[tuple[DataflowDAG, DataflowDAG]]:
+        """One ``(graph, center)`` pair for every distinct structure pair
+        whose exact GED the memo lacks."""
+        todo: dict[tuple[str, str], tuple[DataflowDAG, DataflowDAG]] = {}
+        for g in graphs:
+            for c in centers:
+                pair = self._pair(g, c)
+                if pair is not None and pair not in self._exact:
+                    todo.setdefault(pair, (g, c))
+        return list(todo.values())
+
+    def put(self, g1: DataflowDAG, g2: DataflowDAG, d: int) -> None:
+        """Record an exact GED computed elsewhere (e.g. on Spark)."""
+        pair = self._pair(g1, g2)
+        if pair is not None:
+            self._exact[pair] = d

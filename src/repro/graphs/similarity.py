@@ -13,49 +13,60 @@ Two execution modes reproduce the Fig. 11b ablation:
 
 Both deduplicate structurally identical DAGs via canonical keys, and the
 counting is group-aware so duplicated templates (ubiquitous in execution
-histories) do not inflate the pairwise work.
+histories) do not inflate the pairwise work. Every GED goes through a
+:class:`repro.graphs.ged.GEDCache` memo: inside k-means the caller's,
+which answers the pairs whose GED is already known and runs the pruned
+search on the rest; otherwise a fresh one, which asks about each pair of
+distinct structures once and so runs exactly the searches of its mode.
 """
 from __future__ import annotations
 
 from collections import Counter
 
 from .dag import DataflowDAG
-from .ged import ged, ged_within
+from .ged import GEDCache, ged, ged_within
 
 
-def _dedupe(graphs: list[DataflowDAG]) -> tuple[list[DataflowDAG], list[int]]:
-    """Unique representatives + multiplicity per representative."""
-    reps: list[DataflowDAG] = []
+def dedupe(graphs: list[DataflowDAG]) -> tuple[list[int], list[int], list[int]]:
+    """Group structurally identical DAGs (same canonical key): the index of
+    each distinct structure's first appearance, its multiplicity, and each
+    graph's position in that list."""
+    first: list[int] = []
     counts: list[int] = []
-    index: dict[str, int] = {}
-    for g in graphs:
-        k = g.canonical_key()
-        if k in index:
-            counts[index[k]] += 1
-        else:
-            index[k] = len(reps)
-            reps.append(g)
-            counts.append(1)
-    return reps, counts
+    of: list[int] = []
+    pos: dict[str, int] = {}
+    for i, g in enumerate(graphs):
+        j = pos.setdefault(g.canonical_key(), len(first))
+        if j == len(first):
+            first.append(i)
+            counts.append(0)
+        counts[j] += 1
+        of.append(j)
+    return first, counts, of
 
 
 def pairwise_ged_within(
-    graphs: list[DataflowDAG], tau: float, method: str = "astar_lsa"
+    graphs: list[DataflowDAG],
+    tau: float,
+    method: str = "astar_lsa",
+    memo: GEDCache | None = None,
 ) -> dict[tuple[int, int], int]:
     """GED for every unordered pair of *unique* structures where it is
-    ≤ tau. ``direct`` computes the full GED first (no pruning)."""
+    ≤ tau. ``direct`` computes the full GED first (no pruning). A shared
+    ``memo`` answers the pairs it already knows and keeps the rest."""
     if method not in ("astar_lsa", "direct"):
         raise ValueError(f"unknown method {method!r}")
+    memo = GEDCache() if memo is None else memo
     out: dict[tuple[int, int], int] = {}
     for i in range(len(graphs)):
         out[(i, i)] = 0
         for j in range(i + 1, len(graphs)):
             if method == "direct":
-                d: int | None = ged(graphs[i], graphs[j])
-                if d is not None and d > tau:
+                d: int | None = memo(graphs[i], graphs[j])
+                if d > tau:
                     d = None
             else:
-                d = ged_within(graphs[i], graphs[j], tau)
+                d = memo.within(graphs[i], graphs[j], tau)
             if d is not None:
                 out[(i, j)] = d
     return out
@@ -83,14 +94,19 @@ def similarity_search(
 
 
 def similarity_center(
-    graphs: list[DataflowDAG], tau: float, method: str = "astar_lsa"
+    graphs: list[DataflowDAG],
+    tau: float,
+    method: str = "astar_lsa",
+    memo: GEDCache | None = None,
 ) -> DataflowDAG:
     """The cluster member appearing most often across all members'
-    similarity-search results (Def. 2) — the approximate median graph."""
+    similarity-search results (Def. 2) — the approximate median graph.
+    A shared ``memo`` reuses GEDs known from earlier calls."""
     if not graphs:
         raise ValueError("empty cluster")
-    reps, counts = _dedupe(graphs)
-    within = pairwise_ged_within(reps, tau, method=method)
+    first, counts, _ = dedupe(graphs)
+    reps = [graphs[i] for i in first]
+    within = pairwise_ged_within(reps, tau, method=method, memo=memo)
     appearance = Counter()
     for i in range(len(reps)):
         for j in range(len(reps)):

@@ -4,6 +4,7 @@ import pytest
 from repro.graphs.clustering import _assign_local, assign_with_spark, kmeans_ged
 from repro.graphs.dag import DataflowDAG, Operator
 from repro.graphs.ged import GEDCache
+from repro.sim.workloads import full_catalogue
 
 
 def chain(name, types):
@@ -11,6 +12,13 @@ def chain(name, types):
     edges = [(f"o{i}", f"o{i+1}") for i in range(len(types) - 1)]
     sources = {o.op_id: "s" for o in ops if o.op_type == "source"}
     return DataflowDAG(name, ops, edges, sources)
+
+
+class _NoSpark:
+    """Stands in for a SparkSession that must not be used."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"Spark used: spark.{name}")
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +44,15 @@ class TestSparkAssignment:
         assert len(set(res.assignments[:4])) == 1
         assert len(set(res.assignments[4:])) == 1
         assert res.assignments[0] != res.assignments[4]
+
+    def test_kmeans_memo_cold_matches_local_warm_starts_no_job(self, spark):
+        """Every catalogue DAG (17 structures, most several times): Spark
+        k-means on a cold memo equals the local result; rerun on the now
+        warm memo, it needs no distance the memo lacks and so no Spark."""
+        dags = [wl.dag for wl in full_catalogue("flink").values()]
+        local = kmeans_ged(dags, k=3, seed=1)
+        memo = GEDCache()
+        cold = kmeans_ged(dags, k=3, seed=1, spark=spark, memo=memo)
+        assert cold == local
+        assert memo.misses == 0  # all exact GEDs came from Spark
+        assert kmeans_ged(dags, k=3, seed=1, spark=_NoSpark(), memo=memo) == local

@@ -1,11 +1,14 @@
 """Unit tests for Graph Edit Distance: exact values on hand-built DAGs,
-metric properties, threshold pruning, and the cache."""
+metric properties, threshold pruning, and the memo."""
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.dag import DataflowDAG, Operator
 from repro.graphs.ged import GEDCache, ged, ged_within
+from repro.sim.workloads import full_catalogue
 
 
 def chain(name: str, types: list[str]) -> DataflowDAG:
@@ -139,3 +142,48 @@ class TestCache:
         g2 = chain("b", ["source", "filter", "aggregate", "sink"])
         cache = GEDCache()
         assert cache(g1, g2) == ged(g1, g2)
+
+
+@pytest.fixture(scope="module")
+def catalogue_dags():
+    """One DAG per distinct structure of the Flink catalogue."""
+    seen: dict[str, DataflowDAG] = {}
+    for wl in full_catalogue("flink").values():
+        seen.setdefault(wl.dag.canonical_key(), wl.dag)
+    return list(seen.values())
+
+
+class TestMemo:
+    @pytest.mark.parametrize("taus", [(0, 1, 3, 5), (5, 3, 1, 0)])
+    def test_within_matches_ged_within(self, catalogue_dags, taus):
+        """One memo across every τ, in rising and falling order, with the
+        exact GED of every third pair known beforehand: each answer, in
+        both argument orders, is the pruned search's own."""
+        pairs = list(itertools.combinations(catalogue_dags, 2))
+        memo = GEDCache()
+        for a, b in pairs[::3]:
+            memo(a, b)
+        for tau in taus:
+            for a, b in pairs:
+                assert memo.within(a, b, tau) == ged_within(a, b, tau)
+                assert memo.within(b, a, tau) == ged_within(b, a, tau)
+
+    def test_exact_after_verdict(self, catalogue_dags):
+        memo = GEDCache()
+        over = 0
+        for a, b in itertools.combinations(catalogue_dags, 2):
+            if memo.within(a, b, 1) is None:
+                over += 1
+                assert memo(b, a) == ged(a, b)
+        assert over > 0
+        assert memo.misses == over  # hits under τ were already exact
+
+    def test_missing_and_put(self, catalogue_dags):
+        a, b, c = catalogue_dags[:3]
+        memo = GEDCache()
+        memo(a, b)
+        assert memo.missing([a, b, a], [a, b, c]) == [(a, c), (b, c)]
+        memo.put(c, a, 7)
+        assert memo(a, c) == 7
+        assert memo.missing([a, b], [c]) == [(b, c)]
+

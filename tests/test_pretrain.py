@@ -1,6 +1,13 @@
 """Tests for the pre-training pipeline (clustering + per-cluster GNN)."""
+import json
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro.graphs.ged as ged_mod
+import repro.graphs.similarity as sim_mod
 
 from repro.core.pretrain import (
     PretrainedBundle,
@@ -104,3 +111,72 @@ class TestOpVectors:
         _, v1 = op_vectors(bundle.encoders[0], bundle.feature_encoder, wl.dag, wl.rates(2))
         _, v2 = op_vectors(bundle.encoders[0], bundle.feature_encoder, wl.dag, wl.rates(9))
         assert not np.allclose(v1, v2)
+
+
+#: A small fixed history: 9 distinct structures, 2 of them under two names.
+_GOLDEN_JOBS = [
+    "nexmark_q1", "nexmark_q2", "nexmark_q3", "nexmark_q5", "nexmark_q8",
+    "pqp_linear_0", "pqp_linear_1", "pqp_linear_4", "pqp_2way_0", "pqp_2way_1",
+    "pqp_2way_4", "pqp_3way_0", "pqp_3way_2",
+]
+
+
+@pytest.fixture(scope="module")
+def golden_history():
+    cat = full_catalogue("flink")
+    return generate_history_local([cat[n] for n in _GOLDEN_JOBS], n_per_workload=3, seed=5)
+
+
+def _bundle_summary(records) -> dict:
+    """What clustering decides and training reaches for ``pretrain(k=None)``."""
+    b = pretrain(records, k=None, epochs=3, seed=0)
+    cluster = {id(r): c for c, recs in enumerate(b.cluster_records) for r in recs}
+    return {
+        "k": len(b.centers),
+        "centers": [c.canonical_key() for c in b.centers],
+        "clusters": [cluster[id(r)] for r in records],
+        "train_acc": b.train_acc,
+    }
+
+
+_PRETRAIN_GOLDEN = json.loads(Path(__file__).with_name("pretrain_golden.json").read_text())
+
+
+class TestPretrainGolden:
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_bundle_matches_golden(self, golden_history, order):
+        """Elbow k, similarity centers, every record's cluster and the
+        training accuracy, pinned: sharing GED work must not change them."""
+        records = golden_history if order == "forward" else golden_history[::-1]
+        assert _bundle_summary(records) == _PRETRAIN_GOLDEN[order]
+
+    def test_each_ged_computed_once(self, golden_history, monkeypatch):
+        """One pretrain() runs at most one exact GED per distinct pair of
+        structures, and no pruned search on a pair whose GED it knows."""
+        exact: Counter = Counter()
+        known: set = set()
+        repeats: list = []
+        ged, ged_within = ged_mod.ged, ged_mod.ged_within
+
+        def pair(a, b):
+            return frozenset((a.canonical_key(), b.canonical_key()))
+
+        def counting_ged(a, b):
+            exact[pair(a, b)] += 1
+            known.add(pair(a, b))
+            return ged(a, b)
+
+        def counting_within(a, b, tau):
+            if pair(a, b) in known:
+                repeats.append(pair(a, b))
+            d = ged_within(a, b, tau)
+            if d is not None:
+                known.add(pair(a, b))
+            return d
+
+        for mod in (ged_mod, sim_mod):
+            monkeypatch.setattr(mod, "ged", counting_ged)
+            monkeypatch.setattr(mod, "ged_within", counting_within)
+        pretrain(golden_history, k=None, epochs=1, seed=0)
+        assert exact and max(exact.values()) == 1
+        assert repeats == []
