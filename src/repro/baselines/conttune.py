@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from repro.baselines.ds2 import MIN_BUSY, estimate_true_rate, target_rates
-from repro.core.tuner import STABILISATION_MINUTES, TuneProcessResult
+from repro.baselines.ds2 import MIN_BUSY, estimate_true_rate, reactive_tune
+from repro.core.tuner import TuneProcessResult
 from repro.sim.engine import SimResult, simulate
 from repro.sim.workloads import Workload
 
@@ -64,11 +64,9 @@ class GaussianProcess1D:
 class ContTuneTuner:
     """Big-small conservative BO over the simulated engine."""
 
-    def __init__(self, workload: Workload, *, alpha: float = ALPHA, seed: int = 0, max_iters: int = 6) -> None:
+    def __init__(self, workload: Workload, *, seed: int = 0) -> None:
         self.wl = workload
-        self.alpha = alpha
         self.seed = seed
-        self.max_iters = max_iters
         #: the job's own tuning history: op -> list[(p, PA estimate)]
         self.obs: dict[str, list[tuple[int, float]]] = {
             o: [] for o in workload.dag.tunable_operators()
@@ -98,7 +96,7 @@ class ContTuneTuner:
             gp = GaussianProcess1D(length_scale=max(4.0, self.wl.p_max / 12)).fit(xs, ys)
             cand = np.arange(1, self.wl.p_max + 1, dtype=float)
             mu, sd = gp.predict(cand)
-            ok = np.nonzero(mu - self.alpha * sd >= target)[0]
+            ok = np.nonzero(mu - ALPHA * sd >= target)[0]
             if len(ok) > 0:
                 return int(cand[ok[0]])
         # Big step: linear extrapolation from the latest estimate + headroom.
@@ -108,31 +106,13 @@ class ContTuneTuner:
                 return int(min(self.wl.p_max, max(1, math.ceil(1.25 * p_last * target / pa_last))))
         return int(min(self.wl.p_max, max(1, 2 * p_cur)))
 
+    def _recommend(self, par: dict[str, int], obs: SimResult, tgt: dict[str, float]) -> dict[str, int]:
+        """The GP reads the job's own history, not the latest observation."""
+        return {
+            oid: self._recommend_op(oid, par.get(oid, 1), tgt[oid])
+            for oid in self.wl.dag.tunable_operators()
+        }
+
     def tune(self, current: dict[str, int], rates: dict[str, float]) -> TuneProcessResult:
-        par = dict(current)
-        reconfigs = 0
-        bp_events = 0
-        minutes = 0.0
-        it = 0
-        obs = self._observe(par, rates)  # triggering observation
-        for it in range(1, self.max_iters + 1):
-            tgt = target_rates(self.wl, obs, rates)
-            rec = {
-                oid: self._recommend_op(oid, par.get(oid, 1), tgt[oid])
-                for oid in self.wl.dag.tunable_operators()
-            }
-            if all(rec[o] == par.get(o, 1) for o in rec):
-                break
-            par.update(rec)
-            reconfigs += 1
-            minutes += STABILISATION_MINUTES
-            obs = self._observe(par, rates)
-            if obs.job_backpressure:
-                bp_events += 1
-        return TuneProcessResult(
-            final_parallelism={o: par.get(o, 1) for o in self.wl.dag.tunable_operators()},
-            n_reconfigs=reconfigs,
-            backpressure_events=bp_events,
-            iterations=it,
-            tuning_minutes=minutes,
-        )
+        obs = self._observe(current, rates)  # triggering observation
+        return reactive_tune(self, current, rates, obs, self._recommend)[0]

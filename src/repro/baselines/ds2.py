@@ -7,22 +7,24 @@ lowest degree that sustains the target rate propagated from the sources:
 
     p* = ⌈ p_cur · target_input / true_rate ⌉
 
-It iterates until the recommendation is a fixpoint. Two realities of the
-simulated engine (and of the paper's testbed) make DS2 imperfect: the
-useful-time metric is biased/noisy, and PA is sub-linear in p — so DS2
-needs several reconfigurations and occasionally under-provisions
-(Table III / Fig. 7a).
+It iterates until the recommendation is a fixpoint (:func:`reactive_tune`,
+the loop ContTune shares). Two realities of the simulated engine (and of
+the paper's testbed) make DS2 imperfect: the useful-time metric is
+biased/noisy, and PA is sub-linear in p — so DS2 needs several
+reconfigurations and occasionally under-provisions (Table III / Fig. 7a).
 """
 from __future__ import annotations
 
 import math
 
-from repro.core.tuner import STABILISATION_MINUTES, TuneProcessResult
+from repro.core.tuner import TuneProcessResult
 from repro.sim.engine import SimResult, simulate
 from repro.sim.workloads import Workload
 
 #: Floor on observed busy so rate/busy stays finite on idle operators.
 MIN_BUSY = 0.02
+#: Redeployments per tuning process before DS2 or ContTune stops.
+MAX_ITERS = 6
 
 
 def target_rates(wl: Workload, result: SimResult, rates: dict[str, float]) -> dict[str, float]:
@@ -49,13 +51,39 @@ def estimate_true_rate(m) -> float:
     return m.observed_rate / max(m.observed_busy, MIN_BUSY)
 
 
+def reactive_tune(tuner, current, rates, obs, recommend) -> tuple[TuneProcessResult, SimResult]:
+    """The reactive loop of DS2 and ContTune: redeploy the recommendation
+    until it stops changing, at most MAX_ITERS times.
+
+    ``obs`` is the observation that triggers the process;
+    ``recommend(par, obs, target_rates)`` maps the deployed parallelism and
+    the latest observation to the next recommendation; ``tuner._observe``
+    deploys it. Returns the outcome and the last observation."""
+    par = dict(current)
+    reconfigs = bp_events = 0
+    for _ in range(MAX_ITERS):
+        rec = recommend(par, obs, target_rates(tuner.wl, obs, rates))
+        if all(rec[o] == par.get(o, 1) for o in rec):
+            break
+        par.update(rec)
+        reconfigs += 1
+        obs = tuner._observe(par, rates)
+        if obs.job_backpressure:
+            bp_events += 1
+    out = TuneProcessResult(
+        final_parallelism={o: par.get(o, 1) for o in tuner.wl.dag.tunable_operators()},
+        n_reconfigs=reconfigs,
+        backpressure_events=bp_events,
+    )
+    return out, obs
+
+
 class DS2Tuner:
     """DS2's reactive loop against the simulated engine."""
 
-    def __init__(self, workload: Workload, *, seed: int = 0, max_iters: int = 6) -> None:
+    def __init__(self, workload: Workload, *, seed: int = 0) -> None:
         self.wl = workload
         self.seed = seed
-        self.max_iters = max_iters
         self._deploys = 0
         #: Timely only: the metrics DS2 last collected. Flink's
         #: backpressure monitor triggers a fresh observation when a rate
@@ -72,47 +100,29 @@ class DS2Tuner:
             seed=self.seed + 104729 * self._deploys,
         )
 
+    def _recommend(self, par: dict[str, int], obs: SimResult, tgt: dict[str, float]) -> dict[str, int]:
+        """p* = ⌈p_cur · target_input / true_rate⌉ per tunable operator."""
+        rec: dict[str, int] = {}
+        for oid in self.wl.dag.tunable_operators():
+            true_rate = estimate_true_rate(obs.metrics[oid])
+            if true_rate <= 0:
+                rec[oid] = par.get(oid, 1)
+                continue
+            p = math.ceil(par.get(oid, 1) * tgt[oid] / true_rate)
+            if self.wl.system == "timely":
+                # Timely's spinning workers always look ~100 % busy, so
+                # DS2 cannot distinguish idle capacity from saturation:
+                # scaling down an apparently-saturated operator would
+                # violate its throughput objective, so it only ever
+                # ratchets up (the paper's Fig. 8a over-provisioning).
+                p = max(p, par.get(oid, 1))
+            rec[oid] = int(min(max(1, p), self.wl.p_max))
+        return rec
+
     def tune(self, current: dict[str, int], rates: dict[str, float]) -> TuneProcessResult:
-        par = dict(current)
-        reconfigs = 0
-        bp_events = 0
-        minutes = 0.0
-        it = 0
         if self.wl.system == "timely" and self._stale_obs is not None:
             obs = self._stale_obs  # no fresh trigger signal on Timely
         else:
-            obs = self._observe(par, rates)  # triggering observation (not counted)
-        for it in range(1, self.max_iters + 1):
-            tgt = target_rates(self.wl, obs, rates)
-            rec: dict[str, int] = {}
-            for oid in self.wl.dag.tunable_operators():
-                m = obs.metrics[oid]
-                true_rate = estimate_true_rate(m)
-                if true_rate <= 0:
-                    rec[oid] = par.get(oid, 1)
-                    continue
-                p = math.ceil(par.get(oid, 1) * tgt[oid] / true_rate)
-                if self.wl.system == "timely":
-                    # Timely's spinning workers always look ~100 % busy, so
-                    # DS2 cannot distinguish idle capacity from saturation:
-                    # scaling down an apparently-saturated operator would
-                    # violate its throughput objective, so it only ever
-                    # ratchets up (the paper's Fig. 8a over-provisioning).
-                    p = max(p, par.get(oid, 1))
-                rec[oid] = int(min(max(1, p), self.wl.p_max))
-            if all(rec[o] == par.get(o, 1) for o in rec):
-                break
-            par.update(rec)
-            reconfigs += 1
-            minutes += STABILISATION_MINUTES
-            obs = self._observe(par, rates)
-            if obs.job_backpressure:
-                bp_events += 1
-        self._stale_obs = obs
-        return TuneProcessResult(
-            final_parallelism={o: par.get(o, 1) for o in self.wl.dag.tunable_operators()},
-            n_reconfigs=reconfigs,
-            backpressure_events=bp_events,
-            iterations=it,
-            tuning_minutes=minutes,
-        )
+            obs = self._observe(current, rates)  # triggering observation (not counted)
+        out, self._stale_obs = reactive_tune(self, current, rates, obs, self._recommend)
+        return out

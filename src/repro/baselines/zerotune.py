@@ -16,11 +16,15 @@ import numpy as np
 from repro.core.features import FeatureEncoder, adjacency
 from repro.core.gnn import GNN, GraphSample
 from repro.core.pretrain import record_to_sample
-from repro.core.tuner import STABILISATION_MINUTES, TuneProcessResult
+from repro.core.tuner import TuneProcessResult
 from repro.graphs.dag import DataflowDAG
 from repro.history import HistoryRecord
 from repro.sim.engine import simulate
 from repro.sim.workloads import Workload
+
+#: Random parallelism groups scored per tuning process (besides the
+#: current configuration).
+N_SAMPLES = 64
 
 
 def _augment(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -64,17 +68,9 @@ class ZeroTuneTuner:
     """Sample parallelism groups, pick the predicted-cost argmin, deploy
     once. ZeroTune 'always performs a single reconfiguration' (§V-D)."""
 
-    def __init__(
-        self,
-        workload: Workload,
-        model: ZeroTuneCostModel,
-        *,
-        n_samples: int = 64,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, workload: Workload, model: ZeroTuneCostModel, *, seed: int = 0) -> None:
         self.wl = workload
         self.model = model
-        self.n_samples = n_samples
         self.seed = seed
         self._deploys = 0
 
@@ -82,7 +78,7 @@ class ZeroTuneTuner:
         rng = np.random.default_rng(self.seed + 31 * self._deploys)
         ops = self.wl.dag.tunable_operators()
         candidates: list[dict[str, int]] = [dict(current)]
-        for _ in range(self.n_samples):
+        for _ in range(N_SAMPLES):
             candidates.append(
                 {o: int(rng.integers(1, self.wl.p_max + 1)) for o in ops}
             )
@@ -98,6 +94,4 @@ class ZeroTuneTuner:
             final_parallelism={o: best[o] for o in ops},
             n_reconfigs=1 if changed else 0,
             backpressure_events=int(res.job_backpressure),
-            iterations=1,
-            tuning_minutes=STABILISATION_MINUTES if changed else 0.0,
         )

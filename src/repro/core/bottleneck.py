@@ -23,19 +23,9 @@ CPU_THRESHOLD = 0.60
 UNLABELLED = -1
 
 
-def label_operators(
-    dag: DataflowDAG,
-    result: SimResult,
-    *,
-    threshold: float = CPU_THRESHOLD,
-    observed: bool = True,
-) -> dict[str, int]:
-    """Algorithm 1. Returns ``{op_id: -1|0|1}`` for every operator.
-
-    ``observed=True`` uses the noisy CPU measurement (what a real system
-    exposes); ``observed=False`` uses the true busy fraction (useful for
-    tests that need noise-free assertions).
-    """
+def label_operators(dag: DataflowDAG, result: SimResult) -> dict[str, int]:
+    """Algorithm 1. Returns ``{op_id: -1|0|1}`` for every operator, from
+    the noisy CPU measurement a real system exposes."""
     labels = {o.op_id: UNLABELLED for o in dag.operators}  # line 1
     if not result.job_backpressure:  # lines 2–6
         return {o: 0 for o in labels}
@@ -60,12 +50,7 @@ def label_operators(
     o_b = [o for o in bp if not (dag.descendants(o) & bp)]
     for o in o_b:  # lines 8–16
         for d in dag.downstream(o):
-            util = (
-                result.metrics[d].observed_cpu
-                if observed
-                else result.metrics[d].busy
-            )
-            labels[d] = 1 if util > threshold else 0
+            labels[d] = 1 if result.metrics[d].observed_cpu > CPU_THRESHOLD else 0
     return labels
 
 
@@ -81,8 +66,3 @@ def saturated_ops(dag: DataflowDAG, result: SimResult) -> set[str]:
     return {
         o for o in dag.tunable_operators() if result.metrics[o].observed_cpu > 0.98
     }
-
-
-def labelled_ops(labels: dict[str, int]) -> list[str]:
-    """Operators with a definite label (0 or 1)."""
-    return [o for o, label in labels.items() if label != UNLABELLED]

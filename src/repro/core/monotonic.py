@@ -54,8 +54,6 @@ def _balanced_weights(y: np.ndarray, sample_weight: np.ndarray | None) -> np.nda
 class MonotoneSVM:
     """Linear-in-p, RFF-kernelised-in-h SVM with w_p ≤ 0 (Eq. 5)."""
 
-    is_monotone = True
-
     def __init__(
         self,
         d: int,
@@ -206,8 +204,6 @@ class MonotoneGBDT:
     ``feat[i]`` at ``thr[i]`` (``x <= thr`` goes to ``left[i]``, else
     ``right[i]``); a leaf points to itself and carries ``value[i]``;
     ``roots`` holds each tree's first node."""
-
-    is_monotone = True
 
     def __init__(
         self,
@@ -392,8 +388,6 @@ class PlainNN:
     """Unconstrained 2-layer MLP on [h, p] — the Fig. 11a NN ablation.
     Nothing enforces monotonicity in p, so its bottleneck-boundary search
     can (and in the ablation does) stop at unsafe parallelisms."""
-
-    is_monotone = False
 
     def __init__(self, d: int, *, hidden: int = 32, epochs: int = 200, lr: float = 1e-2, seed: int = 0) -> None:
         rng = np.random.default_rng(seed)

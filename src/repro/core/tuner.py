@@ -36,6 +36,32 @@ STABILISATION_MINUTES = 10.0
 #: margin so the *first* deployment is already backpressure-free (how the
 #: paper's StreamTune achieves the all-zero row of Table III).
 SAFE_THRESHOLD = 0.35
+#: Neutral threshold for trim targets — the conservative margin is
+#: supplied by the explicit +1 stop above the boundary instead.
+TRIM_THRESHOLD = 0.5
+#: Deployments at an unseen rate before the tuning process gives up.
+MAX_ITERS = 8
+#: Warm-up points drawn from the cluster's history (Alg. 2, line 3).
+WARM_POINTS = 1800
+#: M_f is fit to the freshest points of T only.
+MAX_HISTORY = 2500
+#: Online feedback is job-specific ground truth — weight it above the
+#: warm-up points so ΔT corrections dominate quickly.
+FEEDBACK_WEIGHT = 5.0
+#: Multiplier on the first recommendation at a never-seen rate — the
+#: conservative slack that keeps the first deployment backpressure-free
+#: before job-specific feedback exists.
+FIRST_SHOT_MARGIN = 1.25
+#: Safety band over the model boundary. Labels encode the *10 % detection*
+#: boundary (deployments inside the grace region are labelled 0), so
+#: deploying exactly at the learned boundary is a coin flip against engine
+#: jitter; the band keeps StreamTune on the safe side of it.
+SAFETY = 1.10
+#: A failed trim pauses trimming at that rate for this many visits (the
+#: model needs fresh feedback before another attempt), rather than forever.
+TRIM_COOLDOWN_VISITS = 2
+#: M_f is refit only once T has grown by this many points.
+REFIT_MIN_NEW = 12
 
 
 @dataclass
@@ -45,13 +71,16 @@ class TuneProcessResult:
     final_parallelism: dict[str, int]
     n_reconfigs: int
     backpressure_events: int
-    iterations: int
-    tuning_minutes: float
     converged: bool = True
 
     @property
     def total_parallelism(self) -> int:
         return int(sum(self.final_parallelism.values()))
+
+    @property
+    def tuning_minutes(self) -> float:
+        """Virtual tuning time: one stabilisation wait per reconfiguration."""
+        return self.n_reconfigs * STABILISATION_MINUTES
 
 
 class StreamTuneTuner:
@@ -64,57 +93,31 @@ class StreamTuneTuner:
         *,
         model_kind: str = "svm",
         seed: int = 0,
-        safe_threshold: float = SAFE_THRESHOLD,
-        max_iters: int = 8,
-        warm_points: int = 400,
-        max_history: int = 2000,
     ) -> None:
         self.bundle = bundle
         self.wl = workload
         self.model_kind = model_kind
         self.seed = seed
-        self.safe_threshold = safe_threshold
-        self.max_iters = max_iters
-        self.max_history = max_history
         self.cluster = bundle.cluster_for(workload.dag)  # Alg. 2, line 1
         self.enc = bundle.encoders[self.cluster]  # line 2
-        h, p, y = bundle.warmup_dataset(self.cluster, max_points=warm_points, seed=seed)  # line 3
+        h, p, y = bundle.warmup_dataset(self.cluster, max_points=WARM_POINTS, seed=seed)  # line 3
         self._h: list[np.ndarray] = list(h)
         self._p: list[float] = list(np.asarray(p))
         self._y: list[int] = list(np.asarray(y))
-        #: online feedback is job-specific ground truth — weight it above
-        #: the warm-up points so ΔT corrections dominate quickly.
+        #: sample weights: 1 per warm-up point, FEEDBACK_WEIGHT per ΔT point
         self._w: list[float] = [1.0] * len(self._y)
-        self.feedback_weight = 5.0
-        #: Multiplier on the first recommendation at a never-seen rate —
-        #: the conservative slack that keeps the first deployment
-        #: backpressure-free before job-specific feedback exists.
-        self.first_shot_margin = 1.25
-        #: Neutral threshold for trim targets — the conservative margin
-        #: is supplied by the explicit +1 stop above the boundary instead.
-        self.trim_threshold = 0.5
         self._visit_count: dict[tuple, int] = {}
-        #: Safety band over the model boundary. Labels encode the *10 %
-        #: detection* boundary (deployments inside the grace region are
-        #: labelled 0), so deploying exactly at the learned boundary is a
-        #: coin flip against engine jitter; the band keeps StreamTune on
-        #: the safe side of it.
-        self.safety = 1.10
         #: Verified-safe minimal configuration per rate vector.
         self._memo: dict[tuple, dict[str, int]] = {}
         #: Highest parallelism observed to bottleneck, per (rate, op):
         #: monotonicity makes anything at or below it unsafe.
         self._unsafe_floor: dict[tuple, dict[str, int]] = {}
-        #: Trim cooldown per rate key: a failed trim pauses trimming at
-        #: that rate for a few visits (the model needs fresh feedback
-        #: before another attempt), rather than forever.
+        #: Visits left in the trim cooldown, per rate key.
         self._trim_cooldown: dict[tuple, int] = {}
-        self.trim_cooldown_visits = 2
         self._deploy_counter = 0
         #: Model cache: refit only when T has grown meaningfully.
         self._model = None
         self._fitted_at = -1
-        self.refit_min_new = 12
 
     # -- helpers -----------------------------------------------------------
     def _fit_model(self):
@@ -123,18 +126,13 @@ class StreamTuneTuner:
         y = np.asarray(self._y)
         if len(y) == 0 or len(np.unique(y)) < 2:
             return None  # degenerate T: keep current parallelism
-        if self._model is not None and len(y) - self._fitted_at < self.refit_min_new:
+        if self._model is not None and len(y) - self._fitted_at < REFIT_MIN_NEW:
             return self._model
         h = np.vstack(self._h)
         p = np.asarray(self._p)
         w = np.asarray(self._w)
-        if len(y) > self.max_history:  # keep the freshest feedback
-            h, p, y, w = (
-                h[-self.max_history:],
-                p[-self.max_history:],
-                y[-self.max_history:],
-                w[-self.max_history:],
-            )
+        if len(y) > MAX_HISTORY:  # keep the freshest feedback
+            h, p, y, w = h[-MAX_HISTORY:], p[-MAX_HISTORY:], y[-MAX_HISTORY:], w[-MAX_HISTORY:]
         model = make_model(self.model_kind, d=h.shape[1], seed=self.seed)
         self._model = model.fit(h, p, y, sample_weight=w)
         self._fitted_at = len(self._y)
@@ -163,8 +161,6 @@ class StreamTuneTuner:
         key = self._rate_key(rates)
         sat = saturated_ops(self.wl.dag, result)
         for oid, lab in labels.items():
-            if oid not in emb:
-                continue
             p_now = int(result.parallelism.get(oid, 1))
             saturated = oid in sat
             if lab < 0 and not saturated:
@@ -173,16 +169,12 @@ class StreamTuneTuner:
             self._h.append(emb[oid])
             self._p.append(float(fe.scale_parallelism(p_now)))
             self._y.append(eff)
-            self._w.append(self.feedback_weight)
+            self._w.append(FEEDBACK_WEIGHT)
             floors = self._unsafe_floor.setdefault(key, {})
             if lab == 1:
                 floors[oid] = max(floors.get(oid, 0), p_now)
             elif saturated:  # workable but marginal: never trim below it
                 floors[oid] = max(floors.get(oid, 0), p_now - 1)
-
-    @property
-    def dataset_size(self) -> int:
-        return len(self._y)
 
     def _recommend(self, emb, model, threshold: float) -> dict[str, int] | None:
         """Minimum safe parallelism per operator in topological order
@@ -258,18 +250,15 @@ class StreamTuneTuner:
         par = dict(current)
         reconfigs = 0
         bp_events = 0
-        minutes = 0.0
-        it = 0
         emb = self._embeddings(rates)
         key = self._rate_key(rates)
 
         def deploy_to(target: dict[str, int]):
-            nonlocal reconfigs, minutes, bp_events, par
+            nonlocal reconfigs, bp_events, par
             changed = any(target[o] != par.get(o, 1) for o in target)
             par = dict(par) | dict(target)
             if changed:
                 reconfigs += 1
-                minutes += STABILISATION_MINUTES
             res = self._deploy(par, rates, emb)
             if res.job_backpressure:
                 bp_events += 1
@@ -312,8 +301,8 @@ class StreamTuneTuner:
             """Model-guided downscale, bounded to small verified steps: at
             most max(1, 10 %) per operator per visit, at least two above
             any parallelism already observed to bottleneck at this rate,
-            and never retried at a rate where a trim previously failed.
-            A trim that lands on the detection edge is reverted."""
+            and paused for TRIM_COOLDOWN_VISITS visits at a rate where a
+            trim failed. A trim that lands on the detection edge is reverted."""
             nonlocal par
             if self._trim_cooldown.get(key, 0) > 0:
                 self._trim_cooldown[key] -= 1
@@ -325,13 +314,13 @@ class StreamTuneTuner:
             if self._visit_count[key] % 2 == 0:
                 return res
             model = self._fit_model()
-            rec = self._recommend(emb, model, self.trim_threshold)
+            rec = self._recommend(emb, model, TRIM_THRESHOLD)
             if rec is None:
                 return res
             # Trust gate: where the neutral (0.5) and conservative
             # boundaries disagree, the model is uncertain about this
             # operator — trim no lower than the conservative one.
-            rec_cons = self._recommend(emb, model, self.safe_threshold)
+            rec_cons = self._recommend(emb, model, SAFE_THRESHOLD)
             floors = self._transferred_floor(key)
             stepped: dict[str, int] = {}
             for o in rec:
@@ -346,7 +335,7 @@ class StreamTuneTuner:
                 safe = {o: par[o] for o in stepped}  # verified revert point
                 res2, _ = deploy_to(stepped)
                 if at_edge(res2):
-                    self._trim_cooldown[key] = self.trim_cooldown_visits
+                    self._trim_cooldown[key] = TRIM_COOLDOWN_VISITS
                     res2, _ = deploy_to(safe)
                 return res2 if not at_edge(res2) else res
             return res
@@ -358,23 +347,20 @@ class StreamTuneTuner:
                 final_parallelism={o: par[o] for o in self.wl.dag.tunable_operators()},
                 n_reconfigs=reconfigs,
                 backpressure_events=bp_events,
-                iterations=it,
-                tuning_minutes=minutes,
                 converged=converged,
             )
 
         if key in self._memo:
-            it = 1
             res, _ = deploy_to(self._memo[key])
             res = harden(res)
             if not at_edge(res):
                 res = try_trim(res)
             return finish(res)
 
-        margin = self.first_shot_margin
-        for it in range(1, self.max_iters + 1):
+        margin = FIRST_SHOT_MARGIN
+        for _ in range(MAX_ITERS):
             model = self._fit_model()
-            rec = self._recommend(emb, model, self.safe_threshold)
+            rec = self._recommend(emb, model, SAFE_THRESHOLD)
             floors = self._transferred_floor(key)
             caps = self._transferred_cap(key)
             if rec is None:
@@ -389,7 +375,7 @@ class StreamTuneTuner:
                             self.wl.p_max,
                             max(
                                 min(
-                                    np.ceil(p * self.safety * margin) + 1,
+                                    np.ceil(p * SAFETY * margin) + 1,
                                     caps.get(o, self.wl.p_max),
                                 ),
                                 floors.get(o, 0) + 1,
@@ -418,7 +404,6 @@ class PatternRunStats:
     n_processes: int = 0
     total_reconfigs: int = 0
     total_backpressure: int = 0
-    final_parallelism_at: dict[int, int] = field(default_factory=dict)
     #: the parallelism vector reached at each multiplier (last visit)
     parallelism_at: dict[int, dict[str, int]] = field(default_factory=dict)
     tuning_minutes: list[float] = field(default_factory=list)
@@ -427,6 +412,11 @@ class PatternRunStats:
     def avg_reconfigs(self) -> float:
         return self.total_reconfigs / max(1, self.n_processes)
 
+    @property
+    def final_parallelism_at(self) -> dict[int, int]:
+        """Total parallelism reached at each multiplier (last visit)."""
+        return {m: int(sum(par.values())) for m, par in self.parallelism_at.items()}
+
 
 def run_pattern(
     tuner,
@@ -434,7 +424,6 @@ def run_pattern(
     pattern: list[int],
     *,
     method_name: str = "streamtune",
-    seed: int = 0,
 ) -> PatternRunStats:
     """Drive a tuner through a sequence of source-rate multipliers,
     carrying the deployed parallelism across changes (paper §V-C/D/E).
@@ -448,7 +437,6 @@ def run_pattern(
         stats.n_processes += 1
         stats.total_reconfigs += out.n_reconfigs
         stats.total_backpressure += out.backpressure_events
-        stats.final_parallelism_at[mult] = out.total_parallelism
         stats.parallelism_at[mult] = par
         stats.tuning_minutes.append(out.tuning_minutes)
     return stats

@@ -179,9 +179,6 @@ class SimResult:
     throttle: float  # α: fraction of offered source rate actually admitted
     parallelism: dict[str, int] = field(default_factory=dict)
 
-    def bottleneck_ops(self) -> list[str]:
-        return [o for o, m in self.metrics.items() if m.is_bottleneck_cause]
-
 
 def _rng_for(dag: DataflowDAG, parallelism: dict[str, int], rates: dict[str, float], seed: int) -> np.random.Generator:
     payload = json.dumps(

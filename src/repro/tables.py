@@ -81,6 +81,13 @@ def _eval_jobs(cfg: EvalConfig) -> dict[str, list[str]]:
     return out
 
 
+def _history(spark, workloads: list[Workload], n_per_workload: int, seed: int) -> list[HistoryRecord]:
+    """The execution history: a Spark sweep when a session is given."""
+    if spark is None:
+        return generate_history_local(workloads, n_per_workload=n_per_workload, seed=seed)
+    return generate_history(spark, workloads, n_per_workload=n_per_workload, seed=seed)
+
+
 def run_flink_evaluation(
     cfg: EvalConfig | None = None, *, spark=None, verbose: bool = False
 ) -> EvalRun:
@@ -91,12 +98,7 @@ def run_flink_evaluation(
     jobs = _eval_jobs(cfg)
     eval_names = sorted({n for names in jobs.values() for n in names})
     workloads = [cat[n] for n in eval_names]
-    gen = (
-        (lambda: generate_history(spark, workloads, n_per_workload=cfg.history_per_workload, seed=11))
-        if spark is not None
-        else (lambda: generate_history_local(workloads, n_per_workload=cfg.history_per_workload, seed=11))
-    )
-    history = gen()
+    history = _history(spark, workloads, cfg.history_per_workload, seed=11)
     if cfg.k_clusters == 1:
         bundle = pretrain_global(history, epochs=cfg.pretrain_epochs, seed=0)
     else:
@@ -126,14 +128,7 @@ def run_flink_evaluation(
             if (zt_model is not None and wl.group != "nexmark")
             else None
         ),
-        "StreamTune": lambda wl: StreamTuneTuner(
-            bundle,
-            wl,
-            model_kind=cfg.model_kind,
-            seed=cfg.seed,
-            warm_points=1800,
-            max_history=2500,
-        ),
+        "StreamTune": lambda wl: StreamTuneTuner(bundle, wl, model_kind=cfg.model_kind, seed=cfg.seed),
     }
     for method, mk in methods.items():
         run.stats[method] = {}
@@ -262,12 +257,7 @@ def run_timely_evaluation(
     cat = full_catalogue("timely")
     report_jobs = ["nexmark_q3", "nexmark_q5", "nexmark_q8"]
     workloads = [cat[n] for n in report_jobs]
-    gen = (
-        (lambda: generate_history(spark, workloads, n_per_workload=history_per_workload, seed=13))
-        if spark is not None
-        else (lambda: generate_history_local(workloads, n_per_workload=history_per_workload, seed=13))
-    )
-    history = gen()
+    history = _history(spark, workloads, history_per_workload, seed=13)
     bundle = pretrain_global(history, epochs=pretrain_epochs, seed=0)
     pattern = periodic_pattern(n_permutations=pattern_perms, seed=7)
     rows = []
@@ -276,10 +266,7 @@ def run_timely_evaluation(
         for method, mk in (
             ("DS2", lambda: DS2Tuner(wl, seed=seed)),
             ("ContTune", lambda: ContTuneTuner(wl, seed=seed)),
-            ("StreamTune", lambda: StreamTuneTuner(
-                bundle, wl, model_kind=model_kind, seed=seed,
-                warm_points=1800, max_history=2500,
-            )),
+            ("StreamTune", lambda: StreamTuneTuner(bundle, wl, model_kind=model_kind, seed=seed)),
         ):
             st = run_pattern(mk(), wl, pattern, method_name=method)
             # Latency CDF under the configuration the pattern run reached
@@ -314,10 +301,7 @@ def fig11a_models(
     for col in queries:
         wl = cat[_NEXMARK_BY_COL[col]]
         for kind in ("svm", "xgboost", "nn"):
-            tuner = StreamTuneTuner(
-                run.bundle, wl, model_kind=kind, seed=run.config.seed,
-                warm_points=1800, max_history=2500,
-            )
+            tuner = StreamTuneTuner(run.bundle, wl, model_kind=kind, seed=run.config.seed)
             st = run_pattern(tuner, wl, pattern, method_name=f"st-{kind}")
             rows.append(
                 {

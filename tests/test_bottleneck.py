@@ -1,7 +1,8 @@
 """Tests for Algorithm 1 — operator-level bottleneck identification."""
 import pytest
 
-from repro.core.bottleneck import CPU_THRESHOLD, UNLABELLED, label_operators, labelled_ops
+from repro.core import bottleneck
+from repro.core.bottleneck import CPU_THRESHOLD, UNLABELLED, label_operators
 from repro.graphs.dag import DataflowDAG, Operator
 from repro.sim.engine import simulate, unit_rate
 
@@ -43,20 +44,22 @@ class TestFig3Scenario:
         par = {"o1": 100, "o2": 1, "o3": 100, "o4": 100}
         res = simulate(dag, par, {"in": rate}, seed=1)
         assert res.job_backpressure
-        labels = label_operators(dag, res, observed=False)
+        assert res.metrics["o2"].is_bottleneck_cause
+        labels = label_operators(dag, res)
         assert labels["o2"] == 1
         assert labels["o3"] == 0
         # o4 sits below the bottleneck: its offered rate is distorted, so
         # Algorithm 1 leaves it unlabelled.
         assert labels["o4"] == UNLABELLED
 
-    def test_threshold_controls_labelling(self):
+    def test_threshold_controls_labelling(self, monkeypatch):
         dag = _fig3_dag()
         rate = unit_rate(dag.op("o2")) * 6
         par = {"o1": 100, "o2": 1, "o3": 100, "o4": 100}
         res = simulate(dag, par, {"in": rate}, seed=1)
         # With an absurd threshold nothing clears the bar.
-        labels = label_operators(dag, res, threshold=1.1, observed=False)
+        monkeypatch.setattr(bottleneck, "CPU_THRESHOLD", 1.1)
+        labels = label_operators(dag, res)
         assert labels["o2"] == 0
 
 
@@ -78,14 +81,12 @@ class TestChainCascade:
         )
         rate = unit_rate(dag.op("b")) * 6
         res = simulate(dag, {"a": 100, "b": 1}, {"in": rate}, seed=1)
-        labels = label_operators(dag, res, observed=False)
+        assert res.metrics["b"].is_bottleneck_cause
+        labels = label_operators(dag, res)
         assert labels["b"] == 1
         assert labels["a"] == UNLABELLED  # backpressured, not examined
 
 
 class TestHelpers:
-    def test_labelled_ops(self):
-        assert labelled_ops({"a": 1, "b": 0, "c": -1}) == ["a", "b"]
-
     def test_threshold_constant_matches_paper(self):
         assert CPU_THRESHOLD == pytest.approx(0.60)  # "CPU load exceeding 60%"

@@ -80,9 +80,6 @@ class TestMonotoneConstraint:
             probs = m.predict_proba(np.tile(row, (21, 1)), ps)
             assert np.all(np.diff(probs) <= 1e-9), f"{kind} not monotone"
 
-    def test_is_monotone_flag(self, kind):
-        assert MODELS[kind](4).is_monotone
-
 
 class TestSVMSpecifics:
     def test_wp_nonpositive(self):
@@ -182,9 +179,6 @@ class TestGBDTSplitSearch:
 
 
 class TestPlainNN:
-    def test_not_monotone_flag(self):
-        assert not PlainNN(4).is_monotone
-
     def test_can_learn_nonmonotone_shape(self):
         """The ablation's point: the NN *can* fit a non-monotone response,
         which is what breaks its boundary search."""
@@ -213,8 +207,6 @@ class TestMinSafeParallelism:
     class _Step:
         """Safe iff p ≥ boundary."""
 
-        is_monotone = True
-
         def __init__(self, boundary):
             self.boundary = boundary
 
@@ -236,8 +228,6 @@ class TestMinSafeParallelism:
 
     def test_linear_scan_for_nonmonotone(self):
         class Bumpy:
-            is_monotone = False
-
             def predict_proba(self, h, p):
                 q = np.asarray(p)
                 return np.where((q > 0.05) & (q < 0.2), 1.0, 0.0)

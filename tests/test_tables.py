@@ -24,7 +24,7 @@ def _stats(job, method, bp, reconf_total, n, p10):
     s.n_processes = n
     s.total_backpressure = bp
     s.total_reconfigs = reconf_total
-    s.final_parallelism_at = {10: p10}
+    s.parallelism_at = {10: {"op": p10}}
     return s
 
 

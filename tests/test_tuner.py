@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.pretrain import pretrain_global
-from repro.core.tuner import StreamTuneTuner, run_pattern
+from repro.core.tuner import FEEDBACK_WEIGHT, StreamTuneTuner, run_pattern
 from repro.history import _deploy_and_label, generate_history_local
 from repro.sim.engine import processing_ability, simulate
 from repro.sim.workloads import nexmark_catalogue
@@ -36,7 +36,7 @@ class TestConstruction:
         cat, bundle = setup
         t = StreamTuneTuner(bundle, cat["nexmark_q5"], seed=1)
         assert t.cluster == 0
-        assert t.dataset_size > 50
+        assert len(t._y) > 50
 
     def test_model_fit_cached(self, setup):
         cat, bundle = setup
@@ -111,11 +111,11 @@ class TestFeedback:
         cat, bundle = setup
         wl = cat["nexmark_q5"]
         t = StreamTuneTuner(bundle, wl, model_kind="xgboost", seed=1)
-        n0 = t.dataset_size
+        n0 = len(t._y)
         t.tune({o: 1 for o in wl.dag.tunable_operators()}, wl.rates(7))
-        assert t.dataset_size > n0
+        assert len(t._y) > n0
         assert all(w >= 1.0 for w in t._w)
-        assert max(t._w) == t.feedback_weight
+        assert max(t._w) == FEEDBACK_WEIGHT
 
     def test_timely_saturation_labelled_as_in_history(self):
         """A Timely operator at ~1.05× its processing ability is CPU
@@ -132,7 +132,7 @@ class TestFeedback:
         assert not res.job_backpressure
         rec = _deploy_and_label(wl.name, wl.dag.to_json(), "timely", rates, par, 3)
         emb = t._embeddings(rates)
-        n0 = t.dataset_size
+        n0 = len(t._y)
         t._collect_feedback(rates, res, emb)
         ops = [o for o in rec.labels if o in emb]
         assert dict(zip(ops, t._y[n0:])) == {o: rec.labels[o] for o in ops}

@@ -44,7 +44,6 @@ class TestTuner:
         t = ZeroTuneTuner(wl, model, seed=1)
         out = t.tune({o: 1 for o in wl.dag.tunable_operators()}, wl.rates(8))
         assert out.n_reconfigs <= 1
-        assert out.iterations == 1
 
     def test_overprovisions_relative_to_need(self, setup):
         """ZeroTune optimises performance only → systematically high
