@@ -9,7 +9,7 @@ execution by the simulator / tuner.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 #: Operator types used across Nexmark + PQP workloads. The catalogue is
 #: closed (paper §VII notes one-hot typed operators require retraining for
@@ -130,16 +130,6 @@ class DataflowDAG:
             raise ValueError(f"{self.name}: cycle detected")
         return order
 
-    def first_level_downstream(self) -> list[str]:
-        """Operators that consume directly from sources (paper §II-A)."""
-        out: list[str] = []
-        for o in self.operators:
-            if o.op_type == "source":
-                continue
-            if any(self.op(u).op_type == "source" for u in self.upstream(o.op_id)):
-                out.append(o.op_id)
-        return out
-
     def ancestors(self, op_id: str) -> set[str]:
         seen: set[str] = set()
         stack = list(self.upstream(op_id))
@@ -209,12 +199,3 @@ class DataflowDAG:
         )
         edges = sorted((order[u], order[v]) for u, v in self.edges)
         return json.dumps([ops, edges])
-
-
-def relabel(dag: DataflowDAG, name: str, **op_overrides) -> DataflowDAG:
-    """Copy a DAG under a new name, optionally overriding operator fields
-    (``{op_id: {field: value}}``)."""
-    ops = [
-        replace(o, **op_overrides.get(o.op_id, {})) for o in dag.operators
-    ]
-    return DataflowDAG(name=name, operators=ops, edges=list(dag.edges), sources=dict(dag.sources))

@@ -1,9 +1,10 @@
 """Graph similarity search and similarity centers (Defs. 1 & 2).
 
-``similarity_search`` finds all DAGs within GED ``tau`` of a query; the
-``similarity_center`` of a cluster is the DAG appearing most often across
-the similarity-search results of every member — the paper's approximate
-median graph used as the k-means centroid.
+A DAG's similarity-search result (Def. 1) is every DAG within GED
+``tau`` of it; ``pairwise_ged_within`` finds those pairs for a whole
+cluster. The ``similarity_center`` of a cluster is the member appearing
+most often across every member's result — the paper's approximate median
+graph used as the k-means centroid.
 
 Two execution modes reproduce the Fig. 11b ablation:
   * ``method="astar_lsa"`` — threshold-pruned GED verification
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .dag import DataflowDAG
-from .ged import GEDCache, ged, ged_within
+from .ged import GEDCache
 
 
 def dedupe(graphs: list[DataflowDAG]) -> tuple[list[int], list[int], list[int]]:
@@ -70,27 +71,6 @@ def pairwise_ged_within(
             if d is not None:
                 out[(i, j)] = d
     return out
-
-
-def similarity_search(
-    graphs: list[DataflowDAG],
-    query: DataflowDAG,
-    tau: float,
-    method: str = "astar_lsa",
-) -> list[int]:
-    """Indices of ``graphs`` whose GED to ``query`` is ≤ tau (Def. 1)."""
-    hits: list[int] = []
-    cache: dict[str, bool] = {}
-    for i, g in enumerate(graphs):
-        k = g.canonical_key()
-        if k not in cache:
-            if method == "direct":
-                cache[k] = ged(query, g) <= tau
-            else:
-                cache[k] = ged_within(query, g, tau) is not None
-        if cache[k]:
-            hits.append(i)
-    return hits
 
 
 def similarity_center(

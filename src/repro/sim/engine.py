@@ -66,9 +66,7 @@ KAPPA: dict[str, float] = {
     "sink": 0.0,
 }
 
-#: Default operator selectivities by type, used when the Operator does not
-#: carry an explicit one (Operator.selectivity defaults to 1.0 and the
-#: workload catalogue sets realistic values).
+#: Factor by which Timely's per-instance base rates exceed Flink's.
 TIMELY_SPEEDUP = 40.0  # native Rust workers vs JVM task slots
 
 #: Fraction of Flink backpressured time above which an operator is

@@ -1,7 +1,7 @@
 """Unit tests for the logical dataflow DAG model."""
 import pytest
 
-from repro.graphs.dag import DataflowDAG, Operator, relabel
+from repro.graphs.dag import DataflowDAG, Operator
 
 
 def _diamond() -> DataflowDAG:
@@ -95,10 +95,6 @@ class TestDataflowDAG:
         assert dag.descendants("s") == {"a", "b", "c", "k"}
         assert dag.ancestors("s") == set()
 
-    def test_first_level_downstream(self):
-        dag = _diamond()
-        assert set(dag.first_level_downstream()) == {"a", "b"}
-
     def test_tunable_excludes_source_and_sink(self):
         dag = _diamond()
         assert set(dag.tunable_operators()) == {"a", "b", "c"}
@@ -149,10 +145,3 @@ class TestDataflowDAG:
             {"s": "src"},
         )
         assert dag.canonical_key() != chain.canonical_key()
-
-    def test_relabel_overrides(self):
-        dag = _diamond()
-        out = relabel(dag, "v2", a={"selectivity": 0.9})
-        assert out.name == "v2"
-        assert out.op("a").selectivity == 0.9
-        assert dag.op("a").selectivity == 0.5

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import repro.graphs.ged as ged_mod
-import repro.graphs.similarity as sim_mod
 
 from repro.core.pretrain import (
     PretrainedBundle,
@@ -174,9 +173,8 @@ class TestPretrainGolden:
                 known.add(pair(a, b))
             return d
 
-        for mod in (ged_mod, sim_mod):
-            monkeypatch.setattr(mod, "ged", counting_ged)
-            monkeypatch.setattr(mod, "ged_within", counting_within)
+        monkeypatch.setattr(ged_mod, "ged", counting_ged)
+        monkeypatch.setattr(ged_mod, "ged_within", counting_within)
         pretrain(golden_history, k=None, epochs=1, seed=0)
         assert exact and max(exact.values()) == 1
         assert repeats == []

@@ -1,15 +1,11 @@
-"""Tests for graph similarity search, similarity centers (Defs. 1–2) and
+"""Tests for pairwise GED within tau, similarity centers (Defs. 1–2) and
 GED k-means clustering (§IV-C)."""
 import pytest
 
 from repro.graphs.clustering import elbow_k, kmeans_ged, nearest_center
 from repro.graphs.dag import DataflowDAG, Operator
 from repro.graphs.ged import ged
-from repro.graphs.similarity import (
-    pairwise_ged_within,
-    similarity_center,
-    similarity_search,
-)
+from repro.graphs.similarity import pairwise_ged_within, similarity_center
 
 
 def chain(name, types):
@@ -28,28 +24,6 @@ def _two_families(n_a=4, n_b=4):
         for i in range(n_b)
     ]
     return fam_a, fam_b
-
-
-class TestSimilaritySearch:
-    def test_finds_close_graphs(self):
-        fam_a, fam_b = _two_families()
-        graphs = fam_a + fam_b
-        q = chain("q", ["source", "map", "sink"])
-        hits = similarity_search(graphs, q, tau=1)
-        assert hits == [0, 1, 2, 3]
-
-    def test_tau_zero_exact_matches_only(self):
-        fam_a, fam_b = _two_families()
-        hits = similarity_search(fam_a + fam_b, fam_a[0], tau=0)
-        assert hits == [0, 1, 2, 3]  # structurally identical family
-
-    def test_methods_agree(self):
-        fam_a, fam_b = _two_families(2, 2)
-        graphs = fam_a + fam_b
-        q = chain("q", ["source", "filter", "sink"])
-        assert similarity_search(graphs, q, 3, "astar_lsa") == similarity_search(
-            graphs, q, 3, "direct"
-        )
 
 
 class TestPairwise:

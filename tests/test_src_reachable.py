@@ -1,0 +1,71 @@
+"""Every ``repro`` module is used by code that is not a test.
+
+The scan parses every ``.py`` file of the program and its entry points
+(``src/``, ``jobs/``, ``benchmarks/``, ``perfbench/``) and collects the
+modules they import: absolute, relative and function-local imports, plus
+the ``"repro.x:fn"`` target strings that perfbench resolves at run time.
+A module that only ``tests/`` import is either wired into the program or
+deleted; this test makes ``pytest tests/`` fail first.
+"""
+import ast
+import re
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src"
+_PROGRAM = (_SRC, _ROOT / "jobs", _ROOT / "benchmarks", _ROOT / "perfbench")
+_TARGET = re.compile(r"(repro(?:\.\w+)*):[\w.]+")
+
+
+def _module_name(path: Path, base: Path) -> str:
+    parts = list(path.relative_to(base).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _imported(path: Path, base: Path) -> set[str]:
+    """Modules that ``path`` imports; ``from m import x`` also counts
+    ``m.x`` in case ``x`` is a submodule."""
+    name = _module_name(path, base)
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                mod = package.rsplit(".", node.level - 1)[0]
+                mod += f".{node.module}" if node.module else ""
+            else:
+                mod = node.module
+            out.add(mod)
+            out.update(f"{mod}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if m := _TARGET.fullmatch(node.value):
+                out.add(m.group(1))
+    return out
+
+
+def _program_imports() -> set[str]:
+    out: set[str] = set()
+    for base in _PROGRAM:
+        for path in base.rglob("*.py"):
+            out |= _imported(path, _SRC if base == _SRC else _ROOT)
+    return out
+
+
+def test_every_repro_module_is_imported_by_the_program():
+    modules = {_module_name(p, _SRC) for p in (_SRC / "repro").rglob("*.py")}
+    used = _program_imports()
+    unused = sorted(
+        m for m in modules
+        if not any(u == m or u.startswith(m + ".") for u in used)
+    )
+    assert not unused, f"imported only by tests (wire in or delete): {unused}"
+
+
+def test_scan_resolves_relative_imports():
+    # graphs/similarity.py reaches graphs/ged.py only through ``from .ged``.
+    path = _SRC / "repro" / "graphs" / "similarity.py"
+    assert "repro.graphs.ged" in _imported(path, _SRC)
