@@ -23,13 +23,14 @@ from repro.sim.engine import SimResult, simulate
 from repro.sim.workloads import Workload
 
 ALPHA = 3.0  # conservative coefficient from ContTune's experiments
+SIGNAL = 1.0  # RBF kernel signal std (fit standardises y)
 
 
 class GaussianProcess1D:
     """Minimal RBF-kernel GP regressor over the parallelism axis."""
 
-    def __init__(self, length_scale: float = 8.0, signal: float = 1.0, noise: float = 0.05):
-        self.l, self.sf, self.sn = length_scale, signal, noise
+    def __init__(self, length_scale: float = 8.0, noise: float = 0.05):
+        self.l, self.sn = length_scale, noise
         self.x: np.ndarray | None = None
         self.alpha_vec: np.ndarray | None = None
         self.k_inv: np.ndarray | None = None
@@ -38,7 +39,7 @@ class GaussianProcess1D:
 
     def _k(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d = a.reshape(-1, 1) - b.reshape(1, -1)
-        return self.sf**2 * np.exp(-0.5 * (d / self.l) ** 2)
+        return SIGNAL**2 * np.exp(-0.5 * (d / self.l) ** 2)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess1D":
         self.x = np.asarray(x, dtype=float)
@@ -56,7 +57,7 @@ class GaussianProcess1D:
         assert self.x is not None
         ks = self._k(np.asarray(xs, dtype=float), self.x)
         mu = ks @ self.alpha_vec
-        var = self.sf**2 - np.einsum("ij,jk,ik->i", ks, self.k_inv, ks)
+        var = SIGNAL**2 - np.einsum("ij,jk,ik->i", ks, self.k_inv, ks)
         std = np.sqrt(np.maximum(var, 1e-12))
         return mu * self.y_std + self.y_mean, std * self.y_std
 

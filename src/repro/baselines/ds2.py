@@ -30,20 +30,11 @@ MAX_ITERS = 6
 def target_rates(wl: Workload, result: SimResult, rates: dict[str, float]) -> dict[str, float]:
     """Propagate the *full* source rates through observed selectivities —
     DS2's 'true output rate' computation (its step 2)."""
-    dag = wl.dag
-    sel: dict[str, float] = {}
-    for oid, m in result.metrics.items():
-        sel[oid] = (m.output_rate / m.processed_rate) if m.processed_rate > 0 else 1.0
-    tgt_in: dict[str, float] = {}
-    tgt_out: dict[str, float] = {}
-    for oid in dag.topological_order():
-        if oid in dag.sources:
-            tgt_in[oid] = rates[dag.sources[oid]]
-            tgt_out[oid] = tgt_in[oid]
-        else:
-            tgt_in[oid] = sum(tgt_out[u] for u in dag.upstream(oid))
-            tgt_out[oid] = tgt_in[oid] * sel[oid]
-    return tgt_in
+    sel = {
+        oid: (m.output_rate / m.processed_rate) if m.processed_rate > 0 else 1.0
+        for oid, m in result.metrics.items()
+    }
+    return wl.dag.propagate(rates, selectivity=sel)[0]
 
 
 def estimate_true_rate(m) -> float:

@@ -25,6 +25,8 @@ from repro.sim.workloads import Workload
 #: Random parallelism groups scored per tuning process (besides the
 #: current configuration).
 N_SAMPLES = 64
+#: Embedding width of the cost model's GNN.
+DIM = 32
 
 
 def _augment(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -35,10 +37,10 @@ def _augment(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 class ZeroTuneCostModel:
     """Graph-level regression GNN on log job latency."""
 
-    def __init__(self, fe: FeatureEncoder, *, dim: int = 32, seed: int = 0) -> None:
+    def __init__(self, fe: FeatureEncoder, *, seed: int = 0) -> None:
         self.fe = fe
         self.gnn = GNN(
-            d_in=fe.dim + 1, dim=dim, use_fuse=False, head="graph_reg", seed=seed
+            d_in=fe.dim + 1, dim=DIM, use_fuse=False, head="graph_reg", seed=seed
         )
 
     def fit(self, records: list[HistoryRecord], *, epochs: int = 60, seed: int = 0) -> "ZeroTuneCostModel":

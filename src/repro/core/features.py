@@ -53,22 +53,10 @@ _CATEGORIES: dict[str, tuple[str, ...]] = {
     "tuple_data_type": TUPLE_DATA_TYPES,
 }
 
-_NUMERICS = ("window_length", "sliding_length", "tuple_width_in", "tuple_width_out")
-
-_ATTR = {  # feature name -> Operator attribute
-    "operator_type": "op_type",
-    "window_type": "window_type",
-    "window_policy": "window_policy",
-    "window_length": "window_length",
-    "sliding_length": "sliding_length",
-    "join_key_class": "join_key_class",
-    "aggregate_class": "aggregate_class",
-    "aggregate_key_class": "aggregate_key_class",
-    "aggregate_function": "aggregate_function",
-    "tuple_width_in": "tuple_width_in",
-    "tuple_width_out": "tuple_width_out",
-    "tuple_data_type": "tuple_data_type",
-}
+_NUMERICS = tuple(n for n, k in STATIC_FEATURES if k == "numeric")
+#: Operator attribute of each feature: its own name, except Table I's
+#: ``operator_type``, which is ``Operator.op_type``.
+_ATTR = {n: "op_type" if n == "operator_type" else n for n, _ in STATIC_FEATURES}
 
 
 @dataclass
@@ -180,19 +168,10 @@ def upstream_rates(
     dag: DataflowDAG, source_rates: dict[str, float]
 ) -> dict[str, float]:
     """Offered upstream data rate per operator (§II-A): source rates
-    propagated through static selectivities in topological order, with no
-    capacity caps (this is the *offered* load an operator must sustain)."""
-    out: dict[str, float] = {}
-    inp: dict[str, float] = {}
-    for oid in dag.topological_order():
-        op = dag.op(oid)
-        if oid in dag.sources:
-            inp[oid] = 0.0
-            out[oid] = float(source_rates[dag.sources[oid]])
-        else:
-            inp[oid] = float(sum(out[u] for u in dag.upstream(oid)))
-            out[oid] = inp[oid] * op.selectivity
-    return inp
+    propagated through static selectivities with no capacity caps (this
+    is the *offered* load an operator must sustain); 0 for sources."""
+    inp, _ = dag.propagate(source_rates)
+    return {oid: 0.0 if oid in dag.sources else float(r) for oid, r in inp.items()}
 
 
 def adjacency(dag: DataflowDAG, order: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BATCH_SIZE = 16  # graphs per Adam step in GNN.fit
+
 
 @dataclass
 class GraphSample:
@@ -238,9 +240,7 @@ class GNN:
         *,
         epochs: int = 60,
         lr: float = 3e-3,
-        batch_size: int = 16,
         seed: int = 0,
-        verbose: bool = False,
     ) -> list[float]:
         """Mini-batch Adam; gradients averaged over the batch's graphs.
         Returns per-epoch mean loss."""
@@ -251,11 +251,11 @@ class GNN:
             self.pos_weight = max(1.0, n_neg / max(1, n_pos))
         history: list[float] = []
         idx = np.arange(len(samples))
-        for ep in range(epochs):
+        for _ in range(epochs):
             rng.shuffle(idx)
             losses: list[float] = []
-            for start in range(0, len(idx), batch_size):
-                chunk = idx[start : start + batch_size]
+            for start in range(0, len(idx), BATCH_SIZE):
+                chunk = idx[start : start + BATCH_SIZE]
                 agg: dict[str, np.ndarray] | None = None
                 for i in chunk:
                     loss, grads = self.loss_grads(samples[i])
@@ -270,8 +270,6 @@ class GNN:
                     agg[k] /= len(chunk)
                 self._adam_step(agg, lr)
             history.append(float(np.mean(losses)))
-            if verbose and ep % 10 == 0:
-                print(f"epoch {ep}: loss {history[-1]:.4f}")
         return history
 
     def accuracy(self, samples: list[GraphSample]) -> float:

@@ -21,6 +21,11 @@ from repro.graphs.ged import GEDCache
 from repro.history import HistoryRecord
 from repro.sim.workloads import P_MAX
 
+#: GED threshold τ of the similarity-center search (Def. 1).
+TAU = 5.0
+#: Embedding width of every pre-trained encoder.
+DIM = 32
+
 
 def record_to_sample(rec: HistoryRecord, fe: FeatureEncoder) -> GraphSample:
     """Encode one historical deployment as a GNN training sample."""
@@ -109,8 +114,6 @@ def pretrain(
     records: list[HistoryRecord],
     *,
     k: int | None = None,
-    tau: float = 5.0,
-    dim: int = 32,
     epochs: int = 50,
     seed: int = 0,
     spark=None,
@@ -141,8 +144,8 @@ def pretrain(
         distinct: dict[str, DataflowDAG] = {}
         for d in dags:
             distinct.setdefault(d.canonical_key(), d)
-        k = elbow_k(list(distinct.values()), tau=tau, seed=seed, memo=memo)
-    clust = kmeans_ged(dags, k, tau=tau, seed=seed, spark=spark, memo=memo)
+        k = elbow_k(list(distinct.values()), tau=TAU, seed=seed, memo=memo)
+    clust = kmeans_ged(dags, k, tau=TAU, seed=seed, spark=spark, memo=memo)
     cluster_records: list[list[HistoryRecord]] = [[] for _ in range(k)]
     for rec, a in zip(records, clust.assignments):
         cluster_records[a].append(rec)
@@ -150,7 +153,7 @@ def pretrain(
     accs: list[float] = []
     for c in range(k):
         samples = [record_to_sample(r, fe) for r in cluster_records[c]]
-        gnn = GNN(d_in=fe.dim, dim=dim, use_fuse=True, head="node_binary", seed=seed + c)
+        gnn = GNN(d_in=fe.dim, dim=DIM, use_fuse=True, head="node_binary", seed=seed + c)
         labelled = [s for s in samples if (s.y_node >= 0).any()]
         if labelled:
             gnn.fit(labelled, epochs=epochs, seed=seed + c)
@@ -170,10 +173,9 @@ def pretrain(
 def pretrain_global(
     records: list[HistoryRecord],
     *,
-    dim: int = 32,
     epochs: int = 50,
     seed: int = 0,
 ) -> PretrainedBundle:
     """The §VII fallback for limited histories: skip clustering and train
     a single global encoder (one cluster containing everything)."""
-    return pretrain(records, k=1, dim=dim, epochs=epochs, seed=seed)
+    return pretrain(records, k=1, epochs=epochs, seed=seed)

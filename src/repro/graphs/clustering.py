@@ -26,6 +26,8 @@ from .dag import DataflowDAG
 from .ged import GEDCache
 from .similarity import dedupe, similarity_center
 
+MAX_ITER = 10  # k-means rounds before stopping unconverged
+
 
 @dataclass
 class ClusteringResult:
@@ -101,7 +103,6 @@ def kmeans_ged(
     k: int,
     *,
     tau: float = 5.0,
-    max_iter: int = 10,
     seed: int = 0,
     spark=None,
     memo: GEDCache | None = None,
@@ -123,7 +124,7 @@ def kmeans_ged(
     assign: list[int] = []  # cluster of each distinct structure
     inertia = 0.0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if spark is not None:
             new_assign, inertia = assign_with_spark(
                 spark, reps, centers, counts=counts, memo=memo

@@ -4,7 +4,9 @@ A :class:`DataflowDAG` is the *logical* plan of a streaming job (paper
 §II-A): nodes are operators (type + static features, Table I), directed
 edges are data dependencies. Parallelism degrees and source rates are
 *dynamic* and live outside the static structure — they are attached per
-execution by the simulator / tuner.
+execution by the simulator / tuner. :meth:`DataflowDAG.propagate` is the
+one rate rule that the simulator, the feature encoder, the workload
+catalogue and DS2 share.
 """
 from __future__ import annotations
 
@@ -149,6 +151,29 @@ class DataflowDAG:
                 seen.add(u)
                 stack.extend(self.downstream(u))
         return seen
+
+    def propagate(
+        self, source_rates: dict[str, float], selectivity: dict[str, float] | None = None,
+        cap: dict[str, float] | None = None,
+    ) -> tuple[dict[str, float], dict[str, float]]:
+        """Push source rates through the DAG in topological order.
+
+        A source emits its rate. Every other operator takes the sum of its
+        upstreams' outputs, processes at most ``cap[op]`` of it, and emits
+        processed × selectivity — its own, unless ``selectivity`` maps it.
+        Returns (input rate, processed rate) per operator."""
+        inp: dict[str, float] = {}
+        processed: dict[str, float] = {}
+        out: dict[str, float] = {}
+        for oid in self.topological_order():
+            if oid in self.sources:
+                inp[oid] = processed[oid] = out[oid] = source_rates[self.sources[oid]]
+                continue
+            r = inp[oid] = sum(out[u] for u in self.upstream(oid))
+            processed[oid] = r if cap is None else min(r, cap[oid])
+            sel = self.op(oid).selectivity if selectivity is None else selectivity[oid]
+            out[oid] = processed[oid] * sel
+        return inp, processed
 
     #: Operators whose parallelism is tunable (sources/sinks are not —
     #: sources are external and sinks are trivially cheap in the paper's

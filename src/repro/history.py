@@ -24,7 +24,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.bottleneck import label_operators, saturated_ops
-from repro.sim.engine import simulate
+from repro.sim.engine import peak_utilisation, simulate
 from repro.sim.source_rates import pretrain_rates
 from repro.sim.workloads import Workload
 
@@ -75,11 +75,7 @@ class HistoryRecord:
 def job_latency_proxy(result) -> float:
     """Job-level cost: dominated by the hottest operator's utilisation;
     grows steeply past saturation (queueing). ZeroTune regresses this."""
-    rho = max(
-        (m.input_rate / m.pa)
-        for m in result.metrics.values()
-        if np.isfinite(m.pa) and m.pa > 0
-    )
+    rho = peak_utilisation(result)
     base = 0.05 + 0.25 * rho
     if rho > 1.0:
         base += 5.0 * (rho - 1.0)

@@ -11,7 +11,8 @@ a logical DAG with a parallelism vector and source rates:
   type's base rate and the static features of Table I (tuple width,
   window length/policy/slide), so the cost is a function of exactly the
   features the GNN observes.
-* **Rate propagation** in topological order with operator selectivities.
+* **Rate propagation** (:meth:`DataflowDAG.propagate`) in topological
+  order with operator selectivities, each processed rate capped at PA.
 * **Backpressure (Flink)**: if any operator's offered input exceeds its
   PA, sources are throttled by the binding factor α and every ancestor of
   a bottleneck-cause operator accrues backpressured time ``1 − α``. An
@@ -185,40 +186,6 @@ def _rng_for(dag: DataflowDAG, parallelism: dict[str, int], rates: dict[str, flo
     return np.random.default_rng(zlib.crc32(payload))
 
 
-def _propagate(
-    dag: DataflowDAG,
-    parallelism: dict[str, int],
-    rates: dict[str, float],
-    system: str,
-    jitters: dict[str, float],
-) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
-    """Topological rate propagation with every operator's processed rate
-    capped at its PA — queues (Timely) or per-channel flow control
-    (Flink) absorb the excess, so no operator ever *processes* beyond
-    capacity and downstream operators see the reduced output.
-    Returns (input_rate, processed_rate, pa) per operator.
-    """
-    inp: dict[str, float] = {}
-    processed: dict[str, float] = {}
-    out: dict[str, float] = {}
-    pa: dict[str, float] = {}
-    for oid in dag.topological_order():
-        op = dag.op(oid)
-        p = parallelism.get(oid, 1)
-        pa[oid] = processing_ability(op, p, system, jitters.get(oid, 1.0))
-        if op.op_type == "source":
-            r = rates[dag.sources[oid]]
-            inp[oid] = r
-            processed[oid] = r
-            out[oid] = r
-        else:
-            r = sum(out[u] for u in dag.upstream(oid))
-            inp[oid] = r
-            processed[oid] = min(r, pa[oid])
-            out[oid] = processed[oid] * op.selectivity
-    return inp, processed, pa
-
-
 def simulate(
     dag: DataflowDAG,
     parallelism: dict[str, int],
@@ -242,9 +209,16 @@ def simulate(
         o.op_id: float(np.clip(1.0 + rng.normal(0, RATE_JITTER_STD), 0.92, 1.08))
         for o in dag.operators
     }
-
+    pa = {
+        o.op_id: processing_ability(o, parallelism.get(o.op_id, 1), system, jitters[o.op_id])
+        for o in dag.operators
+    }
+    # Both passes cap every processed rate at PA: queues (Timely) or
+    # per-channel flow control (Flink) absorb the excess, so no operator
+    # ever processes beyond capacity and downstream operators see the
+    # reduced output.
     # Pass 1 — offered (unthrottled) rates: identifies bottleneck causes.
-    inp, processed, pa = _propagate(dag, parallelism, source_rates, system, jitters)
+    inp, processed = dag.propagate(source_rates, cap=pa)
     causes = {
         oid
         for oid in inp
@@ -258,7 +232,7 @@ def simulate(
 
     if alpha < 1.0:
         t_rates = {k: v * alpha for k, v in source_rates.items()}
-        inp_t, processed_t, _ = _propagate(dag, parallelism, t_rates, system, jitters)
+        inp_t, processed_t = dag.propagate(t_rates, cap=pa)
     else:
         inp_t, processed_t = inp, processed
 
@@ -315,6 +289,15 @@ def simulate(
     )
 
 
+def peak_utilisation(result: SimResult) -> float:
+    """ρ: the hottest operator's input rate over its PA."""
+    return max(
+        (m.input_rate / m.pa)
+        for m in result.metrics.values()
+        if np.isfinite(m.pa) and m.pa > 0
+    )
+
+
 def epoch_latencies(
     dag: DataflowDAG,
     parallelism: dict[str, int],
@@ -330,12 +313,7 @@ def epoch_latencies(
     utilisation; otherwise backlog accumulates and latency grows linearly
     across epochs — the signature of an under-provisioned Timely job.
     """
-    res = simulate(dag, parallelism, source_rates, system="timely", seed=seed)
-    rho = max(
-        (m.input_rate / m.pa)
-        for m in res.metrics.values()
-        if np.isfinite(m.pa) and m.pa > 0
-    )
+    rho = peak_utilisation(simulate(dag, parallelism, source_rates, system="timely", seed=seed))
     rng = _rng_for(dag, parallelism, source_rates, seed + 1)
     base = 0.05 + 0.25 * rho
     lat = np.empty(n_epochs)

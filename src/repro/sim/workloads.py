@@ -71,16 +71,7 @@ def _fit_widths(
     """Set each operator's tuple width so its input/unit-rate ratio at
     10·W_u equals the designed target. Rates propagate independently of
     widths (selectivity only), so one pass suffices."""
-    rates10 = {k: 10.0 * v for k, v in rate_units.items()}
-    out: dict[str, float] = {}
-    inp: dict[str, float] = {}
-    for oid in dag.topological_order():
-        op = dag.op(oid)
-        if op.op_type == "source":
-            inp[oid] = out[oid] = rates10[dag.sources[oid]]
-        else:
-            inp[oid] = sum(out[u] for u in dag.upstream(oid))
-            out[oid] = inp[oid] * op.selectivity
+    inp, _ = dag.propagate({k: 10.0 * v for k, v in rate_units.items()})
     new_ops = []
     for op in dag.operators:
         if op.op_id not in ratios or inp[op.op_id] <= 0:

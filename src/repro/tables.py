@@ -28,6 +28,9 @@ from repro.sim.engine import epoch_latencies
 from repro.sim.source_rates import periodic_pattern
 from repro.sim.workloads import SOURCE_RATE_UNITS, Workload, full_catalogue, pqp_groups
 
+#: Epochs of each Fig. 8 latency run.
+LATENCY_EPOCHS = 200
+
 #: Columns of Table III / Fig. 6 / Fig. 7a, in the paper's order.
 QUERY_COLUMNS = ["Q1", "Q2", "Q3", "Q5", "Q8", "Linear", "2-way-join", "3-way-join"]
 
@@ -169,53 +172,47 @@ def table2_source_rates() -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def table3_backpressure(run: EvalRun) -> pd.DataFrame:
-    """Table III — frequency of backpressure occurrences during the
-    tuning processes, scaled to full PQP group sizes."""
+def _method_table(run: EvalRun, methods: tuple[str, ...], cell) -> pd.DataFrame:
+    """One row per method, one column per query: ``cell(col, stats)`` over
+    that column's pattern-run stats, or "/" when it has none."""
     rows = []
-    for method in ("DS2", "ContTune", "ZeroTune", "StreamTune"):
+    for method in methods:
         row: dict[str, object] = {"Method": method}
         for col in QUERY_COLUMNS:
             stats = run.stats.get(method, {}).get(col, [])
-            if not stats:
-                row[col] = "/"
-            else:
-                total = sum(s.total_backpressure for s in stats)
-                row[col] = int(round(_scale(col, run, total)))
+            row[col] = cell(col, stats) if stats else "/"
         rows.append(row)
     return pd.DataFrame(rows)
+
+
+def table3_backpressure(run: EvalRun) -> pd.DataFrame:
+    """Table III — frequency of backpressure occurrences during the
+    tuning processes, scaled to full PQP group sizes."""
+    return _method_table(
+        run, ("DS2", "ContTune", "ZeroTune", "StreamTune"),
+        lambda col, stats: int(round(_scale(col, run, sum(s.total_backpressure for s in stats)))),
+    )
 
 
 def fig6_parallelism(run: EvalRun) -> pd.DataFrame:
     """Fig. 6 (as a table) — final total operator parallelism at 10·W_u
-    (averaged over the evaluated queries of each PQP group)."""
-    rows = []
-    for method in ("DS2", "ContTune", "ZeroTune", "StreamTune"):
-        row: dict[str, object] = {"Method": method}
-        for col in QUERY_COLUMNS:
-            stats = run.stats.get(method, {}).get(col, [])
-            vals = [
-                s.final_parallelism_at.get(10)
-                for s in stats
-                if s.final_parallelism_at.get(10) is not None
-            ]
-            row[col] = round(float(np.mean(vals)), 1) if vals else "/"
-        rows.append(row)
-    return pd.DataFrame(rows)
+    (averaged over the evaluated queries of each PQP group; "/" when no
+    run reached 10·W_u)."""
+
+    def cell(col: str, stats: list[PatternRunStats]) -> object:
+        vals = [v for s in stats if (v := s.final_parallelism_at.get(10)) is not None]
+        return round(float(np.mean(vals)), 1) if vals else "/"
+
+    return _method_table(run, ("DS2", "ContTune", "ZeroTune", "StreamTune"), cell)
 
 
 def fig7_reconfigurations(run: EvalRun) -> pd.DataFrame:
     """Fig. 7a (as a table) — average reconfigurations per tuning
     process. ZeroTune is excluded as in the paper (always one)."""
-    rows = []
-    for method in ("DS2", "ContTune", "StreamTune"):
-        row: dict[str, object] = {"Method": method}
-        for col in QUERY_COLUMNS:
-            stats = run.stats.get(method, {}).get(col, [])
-            vals = [s.avg_reconfigs for s in stats]
-            row[col] = round(float(np.mean(vals)), 2) if vals else "/"
-        rows.append(row)
-    return pd.DataFrame(rows)
+    return _method_table(
+        run, ("DS2", "ContTune", "StreamTune"),
+        lambda col, stats: round(float(np.mean([s.avg_reconfigs for s in stats])), 2),
+    )
 
 
 def fig7b_tuning_minutes(run: EvalRun) -> pd.DataFrame:
@@ -249,7 +246,6 @@ def run_timely_evaluation(
     model_kind: str = "xgboost",
     seed: int = 3,
     spark=None,
-    n_epochs: int = 200,
 ) -> pd.DataFrame:
     """Fig. 8 (as a table): final total parallelism at 10·W_u on the
     Timely engine plus per-epoch latency percentiles under each method's
@@ -272,7 +268,7 @@ def run_timely_evaluation(
             # Latency CDF under the configuration the pattern run reached
             # at 10·W_u — the one whose total parallelism is reported.
             lat = epoch_latencies(
-                wl.dag, st.parallelism_at[10], wl.rates(10), n_epochs=n_epochs, seed=seed
+                wl.dag, st.parallelism_at[10], wl.rates(10), n_epochs=LATENCY_EPOCHS, seed=seed
             )
             rows.append(
                 {
