@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from repro.baselines.ds2 import MIN_BUSY, estimate_true_rate, reactive_tune
-from repro.core.tuner import TuneProcessResult
-from repro.sim.engine import SimResult, simulate
+from repro.core.tuner import Deployer, TuneProcessResult
+from repro.sim.engine import SimResult
 from repro.sim.workloads import Workload
 
 ALPHA = 3.0  # conservative coefficient from ContTune's experiments
@@ -67,19 +67,14 @@ class ContTuneTuner:
 
     def __init__(self, workload: Workload, *, seed: int = 0) -> None:
         self.wl = workload
-        self.seed = seed
+        self._deployer = Deployer(workload, seed, 15485863)
         #: the job's own tuning history: op -> list[(p, PA estimate)]
         self.obs: dict[str, list[tuple[int, float]]] = {
             o: [] for o in workload.dag.tunable_operators()
         }
-        self._deploys = 0
 
     def _observe(self, par: dict[str, int], rates: dict[str, float]) -> SimResult:
-        self._deploys += 1
-        res = simulate(
-            self.wl.dag, par, rates, system=self.wl.system,
-            seed=self.seed + 15485863 * self._deploys,
-        )
+        res = self._deployer(par, rates)
         for oid in self.obs:
             m = res.metrics[oid]
             if m.observed_busy > MIN_BUSY and m.observed_rate > 0:

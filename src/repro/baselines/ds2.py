@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 
-from repro.core.tuner import TuneProcessResult
-from repro.sim.engine import SimResult, simulate
+from repro.core.tuner import Deployer, TuneProcessResult, TuningProcess
+from repro.sim.engine import SimResult
 from repro.sim.workloads import Workload
 
 #: Floor on observed busy so rate/busy stays finite on idle operators.
@@ -50,23 +50,13 @@ def reactive_tune(tuner, current, rates, obs, recommend) -> tuple[TuneProcessRes
     ``recommend(par, obs, target_rates)`` maps the deployed parallelism and
     the latest observation to the next recommendation; ``tuner._observe``
     deploys it. Returns the outcome and the last observation."""
-    par = dict(current)
-    reconfigs = bp_events = 0
+    proc = TuningProcess(tuner._observe, current, rates)
     for _ in range(MAX_ITERS):
-        rec = recommend(par, obs, target_rates(tuner.wl, obs, rates))
-        if all(rec[o] == par.get(o, 1) for o in rec):
+        rec = recommend(proc.par, obs, target_rates(tuner.wl, obs, rates))
+        if not proc.changes(rec):
             break
-        par.update(rec)
-        reconfigs += 1
-        obs = tuner._observe(par, rates)
-        if obs.job_backpressure:
-            bp_events += 1
-    out = TuneProcessResult(
-        final_parallelism={o: par.get(o, 1) for o in tuner.wl.dag.tunable_operators()},
-        n_reconfigs=reconfigs,
-        backpressure_events=bp_events,
-    )
-    return out, obs
+        obs = proc.to(rec)
+    return proc.result(tuner.wl.dag.tunable_operators()), obs
 
 
 class DS2Tuner:
@@ -74,8 +64,7 @@ class DS2Tuner:
 
     def __init__(self, workload: Workload, *, seed: int = 0) -> None:
         self.wl = workload
-        self.seed = seed
-        self._deploys = 0
+        self._observe = Deployer(workload, seed, 104729)
         #: Timely only: the metrics DS2 last collected. Flink's
         #: backpressure monitor triggers a fresh observation when a rate
         #: change degrades the job; Timely has no such signal, so DS2
@@ -83,13 +72,6 @@ class DS2Tuner:
         #: stale rates from the previous regime (paper §V-B/F: Timely's
         #: spinning, signal-free runtime breaks useful-time methods).
         self._stale_obs: SimResult | None = None
-
-    def _observe(self, par: dict[str, int], rates: dict[str, float]) -> SimResult:
-        self._deploys += 1
-        return simulate(
-            self.wl.dag, par, rates, system=self.wl.system,
-            seed=self.seed + 104729 * self._deploys,
-        )
 
     def _recommend(self, par: dict[str, int], obs: SimResult, tgt: dict[str, float]) -> dict[str, int]:
         """p* = ⌈p_cur · target_input / true_rate⌉ per tunable operator."""

@@ -16,10 +16,9 @@ import numpy as np
 from repro.core.features import FeatureEncoder, adjacency
 from repro.core.gnn import GNN, GraphSample
 from repro.core.pretrain import record_to_sample
-from repro.core.tuner import TuneProcessResult
+from repro.core.tuner import Deployer, TuneProcessResult, TuningProcess
 from repro.graphs.dag import DataflowDAG
 from repro.history import HistoryRecord
-from repro.sim.engine import simulate
 from repro.sim.workloads import Workload
 
 #: Random parallelism groups scored per tuning process (besides the
@@ -74,10 +73,10 @@ class ZeroTuneTuner:
         self.wl = workload
         self.model = model
         self.seed = seed
-        self._deploys = 0
+        self._deployer = Deployer(workload, seed, 27644437)
 
     def tune(self, current: dict[str, int], rates: dict[str, float]) -> TuneProcessResult:
-        rng = np.random.default_rng(self.seed + 31 * self._deploys)
+        rng = np.random.default_rng(self.seed + 31 * self._deployer.n)
         ops = self.wl.dag.tunable_operators()
         candidates: list[dict[str, int]] = [dict(current)]
         for _ in range(N_SAMPLES):
@@ -85,15 +84,6 @@ class ZeroTuneTuner:
                 {o: int(rng.integers(1, self.wl.p_max + 1)) for o in ops}
             )
         costs = [self.model.predict(self.wl.dag, rates, c) for c in candidates]
-        best = candidates[int(np.argmin(costs))]
-        changed = any(best[o] != current.get(o, 1) for o in ops)
-        self._deploys += 1
-        res = simulate(
-            self.wl.dag, best, rates, system=self.wl.system,
-            seed=self.seed + 27644437 * self._deploys,
-        )
-        return TuneProcessResult(
-            final_parallelism={o: best[o] for o in ops},
-            n_reconfigs=1 if changed else 0,
-            backpressure_events=int(res.job_backpressure),
-        )
+        proc = TuningProcess(self._deployer, current, rates)
+        proc.to(candidates[int(np.argmin(costs))])
+        return proc.result(ops)

@@ -54,31 +54,23 @@ def _balanced_weights(y: np.ndarray, sample_weight: np.ndarray | None) -> np.nda
 class MonotoneSVM:
     """Linear-in-p, RFF-kernelised-in-h SVM with w_p ≤ 0 (Eq. 5)."""
 
-    def __init__(
-        self,
-        d: int,
-        *,
-        rff_dim: int = 128,
-        gamma: float | None = None,
-        lam: float = 1e-3,
-        epochs: int = 100,
-        lr: float = 0.05,
-        p_scale: float = 16.0,
-        seed: int = 0,
-    ) -> None:
+    rff_dim = 128
+    lam = 1e-3
+    lr = 0.05
+    #: Internal magnification of the parallelism feature. The scaled
+    #: p lives in [0, ~0.6]; without magnification the hinge
+    #: subgradient on w_p is tiny and the learned slope is too flat,
+    #: which inflates the predicted bottleneck boundary.
+    p_scale = 16.0
+
+    def __init__(self, d: int, *, epochs: int = 100, seed: int = 0) -> None:
         self.d = d
-        self.gamma = gamma  # None → sharpened median heuristic at fit time
-        #: Internal magnification of the parallelism feature. The scaled
-        #: p lives in [0, ~0.6]; without magnification the hinge
-        #: subgradient on w_p is tiny and the learned slope is too flat,
-        #: which inflates the predicted bottleneck boundary.
-        self.p_scale = p_scale
-        self.rff_dim, self.lam, self.epochs, self.lr = rff_dim, lam, epochs, lr
-        self.omega = np.zeros((d, rff_dim))
-        self.beta = np.zeros(rff_dim)
+        self.epochs = epochs
+        self.omega = np.zeros((d, self.rff_dim))
+        self.beta = np.zeros(self.rff_dim)
         self.mu = np.zeros(d)
         self.sd = np.ones(d)
-        self.w_e = np.zeros(rff_dim)
+        self.w_e = np.zeros(self.rff_dim)
         self.w_p = 0.0
         self.b = 0.0
         self._seed = seed
@@ -95,17 +87,13 @@ class MonotoneSVM:
         self.sd[self.sd < 1e-8] = 1.0
         z = (h - self.mu) / self.sd
         rng = np.random.default_rng(self._seed)
-        if self.gamma is None:
-            n = len(z)
-            idx = rng.choice(n, size=min(128, n), replace=False)
-            sub = z[idx]
-            d2 = ((sub[:, None, :] - sub[None, :, :]) ** 2).sum(-1)
-            med = float(np.median(d2[d2 > 0])) if (d2 > 0).any() else 1.0
-            # Sharper than the plain median heuristic: bottleneck
-            # boundaries are local in embedding space.
-            gamma = 10.0 / max(med, 1e-6)
-        else:
-            gamma = self.gamma
+        idx = rng.choice(len(z), size=min(128, len(z)), replace=False)
+        sub = z[idx]
+        d2 = ((sub[:, None, :] - sub[None, :, :]) ** 2).sum(-1)
+        med = float(np.median(d2[d2 > 0])) if (d2 > 0).any() else 1.0
+        # Sharper than the plain median heuristic: bottleneck
+        # boundaries are local in embedding space.
+        gamma = 10.0 / max(med, 1e-6)
         self.omega = rng.normal(0, np.sqrt(2 * gamma), size=(self.d, self.rff_dim))
         self.beta = rng.uniform(0, 2 * np.pi, size=self.rff_dim)
 
@@ -157,9 +145,6 @@ class MonotoneSVM:
     def predict_proba(self, h: np.ndarray, p: np.ndarray) -> np.ndarray:
         return _sigmoid(2.0 * self.decision(h, p))
 
-    def predict(self, h: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return (self.decision(h, p) > 0).astype(int)
-
 
 #: Quantile levels of the split candidates kept per feature and node when
 #: a feature has more than 8 distinct midpoints.
@@ -205,19 +190,13 @@ class MonotoneGBDT:
     ``right[i]``); a leaf points to itself and carries ``value[i]``;
     ``roots`` holds each tree's first node."""
 
-    def __init__(
-        self,
-        *,
-        n_rounds: int = 40,
-        max_depth: int = 4,
-        eta: float = 0.3,
-        lam: float = 1.0,
-        min_child: float = 1e-3,
-        colsample: float = 0.35,
-        seed: int = 0,
-    ) -> None:
-        self.n_rounds, self.max_depth, self.eta = n_rounds, max_depth, eta
-        self.lam, self.min_child = lam, min_child
+    max_depth = 4
+    eta = 0.3
+    lam = 1.0
+    min_child = 1e-3
+
+    def __init__(self, *, n_rounds: int = 40, colsample: float = 0.35, seed: int = 0) -> None:
+        self.n_rounds = n_rounds
         #: Fraction of embedding features examined per tree (the
         #: parallelism feature is always included) — XGBoost's
         #: colsample_bytree, which also keeps the split search small.
@@ -380,22 +359,22 @@ class MonotoneGBDT:
     def predict_proba(self, h: np.ndarray, p: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision(h, p))
 
-    def predict(self, h: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return (self.decision(h, p) > 0).astype(int)
-
 
 class PlainNN:
     """Unconstrained 2-layer MLP on [h, p] — the Fig. 11a NN ablation.
     Nothing enforces monotonicity in p, so its bottleneck-boundary search
     can (and in the ablation does) stop at unsafe parallelisms."""
 
-    def __init__(self, d: int, *, hidden: int = 32, epochs: int = 200, lr: float = 1e-2, seed: int = 0) -> None:
+    hidden = 32
+    lr = 1e-2
+
+    def __init__(self, d: int, *, epochs: int = 200, seed: int = 0) -> None:
         rng = np.random.default_rng(seed)
-        self.W1 = rng.normal(0, np.sqrt(2.0 / (d + 1)), (d + 1, hidden))
-        self.b1 = np.zeros(hidden)
-        self.W2 = rng.normal(0, np.sqrt(2.0 / hidden), (hidden, 1))
+        self.W1 = rng.normal(0, np.sqrt(2.0 / (d + 1)), (d + 1, self.hidden))
+        self.b1 = np.zeros(self.hidden)
+        self.W2 = rng.normal(0, np.sqrt(2.0 / self.hidden), (self.hidden, 1))
         self.b2 = np.zeros(1)
-        self.epochs, self.lr = epochs, lr
+        self.epochs = epochs
 
     def _forward(self, X):
         pre1 = X @ self.W1 + self.b1
@@ -443,9 +422,6 @@ class PlainNN:
 
     def predict_proba(self, h, p):
         return _sigmoid(self.decision(h, p))
-
-    def predict(self, h, p):
-        return (self.decision(h, p) > 0).astype(int)
 
 
 def make_model(kind: str, d: int, *, seed: int = 0):

@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.bottleneck import label_operators, saturated_ops
 from repro.core.monotonic import make_model, min_safe_parallelism
 from repro.core.pretrain import PretrainedBundle, op_vectors
-from repro.sim.engine import simulate
+from repro.sim.engine import SimResult, simulate
 from repro.sim.workloads import Workload
 
 #: Paper §V-A: "a 10-minute wait is enforced between reconfigurations".
@@ -83,6 +83,51 @@ class TuneProcessResult:
         return self.n_reconfigs * STABILISATION_MINUTES
 
 
+class Deployer:
+    """A tuner's only call to the engine. The n-th deployment (n from 1)
+    runs with seed ``seed + stride·n``: every method deploys on the same
+    simulated system, each with its own jitter stream."""
+
+    def __init__(self, wl: Workload, seed: int, stride: int) -> None:
+        self.wl, self.seed, self.stride = wl, seed, stride
+        self.n = 0
+
+    def __call__(self, par: dict[str, int], rates: dict[str, float]) -> SimResult:
+        self.n += 1
+        seed = self.seed + self.stride * self.n
+        return simulate(self.wl.dag, par, rates, system=self.wl.system, seed=seed)
+
+
+class TuningProcess:
+    """One tuning process through ``deploy(par, rates)``: the deployed
+    parallelism and the two counts the methods are compared by —
+    reconfigurations (Fig. 7a) and backpressure events (Table III)."""
+
+    def __init__(self, deploy, current: dict[str, int], rates: dict[str, float]) -> None:
+        self.deploy, self.rates = deploy, rates
+        self.par = dict(current)
+        self.reconfigs = self.bp_events = 0
+
+    def changes(self, target: dict[str, int]) -> bool:
+        """True when ``target`` changes a degree (an undeployed one is 1)."""
+        return any(target[o] != self.par.get(o, 1) for o in target)
+
+    def to(self, target: dict[str, int]) -> SimResult:
+        """Deploy ``par | target``: a reconfiguration if it changes a degree,
+        a backpressure event (even if unchanged) if the job backpressures."""
+        self.reconfigs += self.changes(target)
+        self.par = self.par | target
+        res = self.deploy(self.par, self.rates)
+        if res.job_backpressure:
+            self.bp_events += 1
+        return res
+
+    def result(self, ops, converged: bool = True) -> TuneProcessResult:
+        """The outcome over operators ``ops``."""
+        par = {o: self.par.get(o, 1) for o in ops}
+        return TuneProcessResult(par, self.reconfigs, self.bp_events, converged)
+
+
 class StreamTuneTuner:
     """Algorithm 2 against the simulated engine."""
 
@@ -114,7 +159,7 @@ class StreamTuneTuner:
         self._unsafe_floor: dict[tuple, dict[str, int]] = {}
         #: Visits left in the trim cooldown, per rate key.
         self._trim_cooldown: dict[tuple, int] = {}
-        self._deploy_counter = 0
+        self._deployer = Deployer(workload, seed, 7919)
         #: Model cache: refit only when T has grown meaningfully.
         self._model = None
         self._fitted_at = -1
@@ -196,11 +241,7 @@ class StreamTuneTuner:
         return rec
 
     def _deploy(self, par: dict[str, int], rates, emb):
-        self._deploy_counter += 1
-        res = simulate(
-            self.wl.dag, par, rates, system=self.wl.system,
-            seed=self.seed + 7919 * self._deploy_counter,
-        )
+        res = self._deployer(par, rates)
         self._collect_feedback(rates, res, emb)
         return res
 
@@ -247,22 +288,9 @@ class StreamTuneTuner:
         boundary) that escalates while backpressure persists, then a
         guarded trim once the job is healthy.
         """
-        par = dict(current)
-        reconfigs = 0
-        bp_events = 0
         emb = self._embeddings(rates)
         key = self._rate_key(rates)
-
-        def deploy_to(target: dict[str, int]):
-            nonlocal reconfigs, bp_events, par
-            changed = any(target[o] != par.get(o, 1) for o in target)
-            par = dict(par) | dict(target)
-            if changed:
-                reconfigs += 1
-            res = self._deploy(par, rates, emb)
-            if res.job_backpressure:
-                bp_events += 1
-            return res, changed
+        proc = TuningProcess(lambda par, r: self._deploy(par, r, emb), current, rates)
 
         def at_edge(res) -> bool:
             """True when the deployment is healthy only by the grace of
@@ -288,13 +316,13 @@ class StreamTuneTuner:
                 if not at_edge(r):
                     return r
                 bumps = {
-                    o: min(self.wl.p_max, par[o] + max(1, int(0.05 * par[o])))
+                    o: min(self.wl.p_max, proc.par[o] + max(1, int(0.05 * proc.par[o])))
                     for o, m in r.metrics.items()
-                    if o in par and (m.is_bottleneck_cause or m.busy > 0.9)
+                    if o in proc.par and (m.is_bottleneck_cause or m.busy > 0.9)
                 }
                 if not bumps:
                     return r
-                r, _ = deploy_to(bumps)
+                r = proc.to(bumps)
             return r
 
         def try_trim(res):
@@ -303,7 +331,6 @@ class StreamTuneTuner:
             any parallelism already observed to bottleneck at this rate,
             and paused for TRIM_COOLDOWN_VISITS visits at a rate where a
             trim failed. A trim that lands on the detection edge is reverted."""
-            nonlocal par
             if self._trim_cooldown.get(key, 0) > 0:
                 self._trim_cooldown[key] -= 1
                 return res
@@ -322,6 +349,7 @@ class StreamTuneTuner:
             # operator — trim no lower than the conservative one.
             rec_cons = self._recommend(emb, model, SAFE_THRESHOLD)
             floors = self._transferred_floor(key)
+            par = proc.par
             stepped: dict[str, int] = {}
             for o in rec:
                 lo = max(1, floors.get(o, 0) + 2)
@@ -333,25 +361,21 @@ class StreamTuneTuner:
                 stepped[o] = min(par[o], max(target, par[o] - step, lo))
             if any(stepped[o] < par[o] for o in stepped):
                 safe = {o: par[o] for o in stepped}  # verified revert point
-                res2, _ = deploy_to(stepped)
+                res2 = proc.to(stepped)
                 if at_edge(res2):
                     self._trim_cooldown[key] = TRIM_COOLDOWN_VISITS
-                    res2, _ = deploy_to(safe)
+                    res2 = proc.to(safe)
                 return res2 if not at_edge(res2) else res
             return res
 
         def finish(res, converged=True):
+            out = proc.result(self.wl.dag.tunable_operators(), converged)
             if not at_edge(res):
-                self._memo[key] = {o: par[o] for o in self.wl.dag.tunable_operators()}
-            return TuneProcessResult(
-                final_parallelism={o: par[o] for o in self.wl.dag.tunable_operators()},
-                n_reconfigs=reconfigs,
-                backpressure_events=bp_events,
-                converged=converged,
-            )
+                self._memo[key] = dict(out.final_parallelism)
+            return out
 
         if key in self._memo:
-            res, _ = deploy_to(self._memo[key])
+            res = proc.to(self._memo[key])
             res = harden(res)
             if not at_edge(res):
                 res = try_trim(res)
@@ -364,7 +388,7 @@ class StreamTuneTuner:
             floors = self._transferred_floor(key)
             caps = self._transferred_cap(key)
             if rec is None:
-                rec = {o: par.get(o, 1) for o in self.wl.dag.tunable_operators()}
+                rec = {o: proc.par.get(o, 1) for o in self.wl.dag.tunable_operators()}
             else:
                 # +1 absolute slack: multiplicative margins are toothless
                 # at small degrees (ceil(2 · 1.4) is still only 3). Floors
@@ -384,7 +408,7 @@ class StreamTuneTuner:
                     )
                     for o, p in rec.items()
                 }
-            res, changed = deploy_to(rec)
+            res = proc.to(rec)
             if res.job_backpressure:
                 margin *= 1.2  # escalate conservatism while unhealthy
                 continue

@@ -71,7 +71,6 @@ def assign_with_spark(
     todo = memo.missing(graphs, centers)
     if todo:
         import pandas as pd
-        from pyspark.sql.types import LongType, StructField, StructType
 
         def _compute(batches):
             from repro.graphs.dag import DataflowDAG as D
@@ -88,10 +87,7 @@ def assign_with_spark(
             [(i, g.to_json(), c.to_json()) for i, (g, c) in enumerate(todo)],
             columns=["pid", "g_json", "c_json"],
         )
-        schema = StructType(
-            [StructField("pid", LongType()), StructField("dist", LongType())]
-        )
-        res = spark.createDataFrame(rows).mapInPandas(_compute, schema=schema).toPandas()
+        res = spark.createDataFrame(rows).mapInPandas(_compute, schema="pid long, dist long").toPandas()
         for pid, d in zip(res["pid"], res["dist"]):
             g, c = todo[int(pid)]
             memo.put(g, c, int(d))

@@ -151,14 +151,6 @@ def generate_history(
     """Spark-parallel history generation: the config sweep is distributed
     with ``mapInPandas``; results come back as one row per deployment, in
     config order (equal to :func:`generate_history_local`)."""
-    from pyspark.sql.types import (
-        BooleanType,
-        DoubleType,
-        StringType,
-        StructField,
-        StructType,
-    )
-
     cfgs = _configs(workloads, n_per_workload, seed)
     pdf = pd.DataFrame(
         [
@@ -173,17 +165,9 @@ def generate_history(
             for c in cfgs
         ]
     )
-    schema = StructType(
-        [
-            StructField("job", StringType()),
-            StructField("dag_json", StringType()),
-            StructField("system", StringType()),
-            StructField("rates_json", StringType()),
-            StructField("par_json", StringType()),
-            StructField("labels_json", StringType()),
-            StructField("job_backpressure", BooleanType()),
-            StructField("job_latency", DoubleType()),
-        ]
+    schema = (
+        "job string, dag_json string, system string, rates_json string, par_json string, "
+        "labels_json string, job_backpressure boolean, job_latency double"
     )
 
     def _run(batches):

@@ -171,7 +171,6 @@ class OpMetrics:
 class SimResult:
     """One deployment's outcome: per-op metrics + job-level flags."""
 
-    dag_name: str
     system: str
     metrics: dict[str, OpMetrics]
     job_backpressure: bool
@@ -280,7 +279,6 @@ def simulate(
         metrics[oid] = m
         job_bp = job_bp or bool(detected)
     return SimResult(
-        dag_name=dag.name,
         system=system,
         metrics=metrics,
         job_backpressure=job_bp,

@@ -39,7 +39,7 @@ class TestAllModels:
     def test_fits_and_predicts(self, kind):
         h, p, y, _ = _boundary_data()
         m = MODELS[kind](h.shape[1]).fit(h, p, y)
-        acc = (m.predict(h, p) == y).mean()
+        acc = ((m.predict_proba(h, p) > 0.5) == y).mean()
         assert acc > 0.8, f"{kind} acc={acc}"
 
     def test_proba_in_unit_interval(self, kind):
@@ -52,7 +52,7 @@ class TestAllModels:
         h, p, y, _ = _boundary_data(n=200)
         w = np.ones(len(y))
         m = MODELS[kind](h.shape[1]).fit(h, p, y, sample_weight=w)
-        assert m.predict(h[:5], p[:5]).shape == (5,)
+        assert (m.predict_proba(h[:5], p[:5]) > 0.5).shape == (5,)
 
     def test_handles_imbalance(self, kind):
         """With 5 % positives an unweighted fit collapses to all-0; the
@@ -65,7 +65,7 @@ class TestAllModels:
         m = MODELS[kind](4).fit(h, p, y)
         pos = y == 1
         if pos.sum() > 5:
-            recall = (m.predict(h[pos], p[pos]) == 1).mean()
+            recall = (m.predict_proba(h[pos], p[pos]) > 0.5).mean()
             assert recall > 0.5, f"{kind} recall={recall}"
 
 

@@ -5,7 +5,8 @@ The scan parses every ``.py`` file of the program and its entry points
 modules they import: absolute, relative and function-local imports, plus
 the ``"repro.x:fn"`` target strings that perfbench resolves at run time.
 A module that only ``tests/`` import is either wired into the program or
-deleted; this test makes ``pytest tests/`` fail first.
+deleted; this test makes ``pytest tests/`` fail first. The same parse
+also checks that the tuners reach the engine through one path.
 """
 import ast
 import re
@@ -24,13 +25,17 @@ def _module_name(path: Path, base: Path) -> str:
     return ".".join(parts)
 
 
+def _nodes(path: Path):
+    return ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
 def _imported(path: Path, base: Path) -> set[str]:
     """Modules that ``path`` imports; ``from m import x`` also counts
     ``m.x`` in case ``x`` is a submodule."""
     name = _module_name(path, base)
     package = name if path.name == "__init__.py" else name.rpartition(".")[0]
     out: set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in _nodes(path):
         if isinstance(node, ast.Import):
             out.update(a.name for a in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -69,3 +74,23 @@ def test_scan_resolves_relative_imports():
     # graphs/similarity.py reaches graphs/ged.py only through ``from .ged``.
     path = _SRC / "repro" / "graphs" / "similarity.py"
     assert "repro.graphs.ged" in _imported(path, _SRC)
+
+
+def _calls(path: Path, fn: str) -> bool:
+    """True when ``path`` calls ``fn`` by name or as an attribute."""
+    return any(
+        isinstance(node, ast.Call)
+        and fn in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in _nodes(path)
+    )
+
+
+def test_tuners_reach_the_engine_only_through_the_deployer():
+    # Every tuner deploys through ``core.tuner.Deployer``, so all four see
+    # the same simulated system and are counted by one rule; besides the
+    # engine itself only the offline history sweep calls ``simulate``.
+    allowed = {"repro.sim.engine", "repro.history", "repro.core.tuner"}
+    callers = {
+        _module_name(p, _SRC) for p in (_SRC / "repro").rglob("*.py") if _calls(p, "simulate")
+    }
+    assert callers <= allowed, f"call simulate outside the Deployer: {sorted(callers - allowed)}"

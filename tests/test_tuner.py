@@ -1,9 +1,18 @@
 """Tests for the StreamTune online tuner (Algorithm 2)."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.core import tuner as tuner_mod
 from repro.core.pretrain import pretrain_global
-from repro.core.tuner import FEEDBACK_WEIGHT, StreamTuneTuner, run_pattern
+from repro.core.tuner import (
+    FEEDBACK_WEIGHT,
+    Deployer,
+    StreamTuneTuner,
+    TuningProcess,
+    run_pattern,
+)
 from repro.history import _deploy_and_label, generate_history_local
 from repro.sim.engine import processing_ability, simulate
 from repro.sim.workloads import nexmark_catalogue
@@ -136,6 +145,66 @@ class TestFeedback:
         t._collect_feedback(rates, res, emb)
         ops = [o for o in rec.labels if o in emb]
         assert dict(zip(ops, t._y[n0:])) == {o: rec.labels[o] for o in ops}
+
+
+def _fake_deploy(backpressure: bool):
+    """A ``deploy`` callable that records each deployed vector."""
+    calls = []
+
+    def deploy(par, rates):
+        calls.append(dict(par))
+        return SimpleNamespace(job_backpressure=backpressure)
+
+    return deploy, calls
+
+
+class TestTuningProcess:
+    """The one rule that counts Table III and Fig. 7a for every method."""
+
+    def test_changed_target_counts_one_reconfiguration(self):
+        deploy, calls = _fake_deploy(False)
+        proc = TuningProcess(deploy, {"a": 2, "b": 3}, {"src": 1.0})
+        proc.to({"a": 4, "b": 3})
+        assert (proc.reconfigs, proc.bp_events) == (1, 0)
+        assert calls == [{"a": 4, "b": 3}]
+
+    def test_missing_degree_counts_as_one(self):
+        deploy, calls = _fake_deploy(False)
+        proc = TuningProcess(deploy, {"a": 2}, {"src": 1.0})
+        proc.to({"b": 1})
+        assert proc.reconfigs == 0
+        proc.to({"b": 2})
+        assert proc.reconfigs == 1
+        assert calls == [{"a": 2, "b": 1}, {"a": 2, "b": 2}]
+
+    def test_unchanged_redeploy_counts_backpressure_only(self):
+        deploy, calls = _fake_deploy(True)
+        proc = TuningProcess(deploy, {"a": 2}, {"src": 1.0})
+        proc.to({"a": 2})
+        assert (proc.reconfigs, proc.bp_events) == (0, 1)
+        assert calls == [{"a": 2}]
+
+    def test_result_keeps_only_given_operators(self):
+        deploy, _ = _fake_deploy(False)
+        proc = TuningProcess(deploy, {"src": 1, "a": 2}, {"src": 1.0})
+        proc.to({"b": 5})
+        out = proc.result(["a", "b"], converged=False)
+        assert out.final_parallelism == {"a": 2, "b": 5}
+        assert (out.n_reconfigs, out.backpressure_events, out.converged) == (1, 0, False)
+
+    def test_deployer_nth_call_uses_seed_plus_stride_times_n(self, monkeypatch):
+        seen = []
+
+        def fake_simulate(dag, par, rates, *, system, seed):
+            seen.append((dag, system, seed))
+
+        monkeypatch.setattr(tuner_mod, "simulate", fake_simulate)
+        wl = nexmark_catalogue("timely")["nexmark_q5"]
+        deploy = Deployer(wl, 5, 7919)
+        for _ in range(3):
+            deploy({}, {})
+        assert seen == [(wl.dag, "timely", 5 + 7919 * n) for n in (1, 2, 3)]
+        assert deploy.n == 3
 
 
 class TestPattern:
