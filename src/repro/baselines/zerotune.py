@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.features import FeatureEncoder, adjacency
 from repro.core.gnn import GNN, GraphSample
-from repro.core.pretrain import record_to_sample
+from repro.core.pretrain import parse_dags, record_to_sample
 from repro.core.tuner import Deployer, TuneProcessResult, TuningProcess
 from repro.graphs.dag import DataflowDAG
 from repro.history import HistoryRecord
@@ -29,8 +29,9 @@ DIM = 32
 
 
 def _augment(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """ZeroTune feeds parallelism directly as a node feature."""
-    return np.concatenate([x, np.asarray(p).reshape(-1, 1)], axis=1)
+    """ZeroTune feeds parallelism directly as a node feature: features
+    [n, d] and parallelisms [..., n] give [..., n, d + 1]."""
+    return np.concatenate([np.broadcast_to(x, p.shape + x.shape[-1:]), p[..., None]], axis=-1)
 
 
 class ZeroTuneCostModel:
@@ -43,9 +44,10 @@ class ZeroTuneCostModel:
         )
 
     def fit(self, records: list[HistoryRecord], *, epochs: int = 60, seed: int = 0) -> "ZeroTuneCostModel":
+        parsed = parse_dags(records)
         samples = []
         for rec in records:
-            s = record_to_sample(rec, self.fe)
+            s = record_to_sample(rec, self.fe, parsed[rec.dag_json])
             samples.append(
                 GraphSample(
                     x=_augment(s.x, s.p),
@@ -57,12 +59,15 @@ class ZeroTuneCostModel:
         self.gnn.fit(samples, epochs=epochs, seed=seed)
         return self
 
-    def predict(self, dag: DataflowDAG, rates: dict[str, float], parallelism: dict[str, int]) -> float:
+    def costs(
+        self, dag: DataflowDAG, rates: dict[str, float], candidates: list[dict[str, int]]
+    ) -> np.ndarray:
+        """Predicted cost of ``dag`` at ``rates`` under each parallelism
+        candidate: one encoding, one forward over the stack of candidates."""
         order, x = self.fe.encode_dag(dag, rates)
         a_in, a_out = adjacency(dag, order)
-        p = self.fe.scale_parallelism([parallelism.get(o, 1) for o in order])
-        s = GraphSample(x=_augment(x, p), a_in=a_in, a_out=a_out)
-        return float(self.gnn.forward(s)[0])
+        p = self.fe.scale_parallelism([[c.get(o, 1) for o in order] for c in candidates])
+        return self.gnn.forward(GraphSample(x=_augment(x, p), a_in=a_in, a_out=a_out))[:, 0]
 
 
 class ZeroTuneTuner:
@@ -83,7 +88,7 @@ class ZeroTuneTuner:
             candidates.append(
                 {o: int(rng.integers(1, self.wl.p_max + 1)) for o in ops}
             )
-        costs = [self.model.predict(self.wl.dag, rates, c) for c in candidates]
+        costs = self.model.costs(self.wl.dag, rates, candidates)
         proc = TuningProcess(self._deployer, current, rates)
         proc.to(candidates[int(np.argmin(costs))])
         return proc.result(ops)

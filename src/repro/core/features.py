@@ -77,7 +77,7 @@ class FeatureEncoder:
     @property
     def dim(self) -> int:
         cat = sum(len(_CATEGORIES[n]) for n, k in STATIC_FEATURES if k == "categorical")
-        # + selectivity + source rate + upstream data rate (see encode_op)
+        # + selectivity + source rate + upstream data rate (see encode_dag)
         return cat + len(_NUMERICS) + 3
 
     def fit(
@@ -110,53 +110,44 @@ class FeatureEncoder:
         self.p_max = p_max
         return self
 
-    def _scale(self, name: str, v: float) -> float:
+    def _scale(self, name: str, v: np.ndarray) -> np.ndarray:
         lo = self.numeric_lo.get(name, 0.0)
         hi = self.numeric_hi.get(name, 1.0)
-        return float(np.clip((v - lo) / (hi - lo), 0.0, 1.0))
+        return np.clip((v - lo) / (hi - lo), 0.0, 1.0)
 
-    def _scale_rate(self, rate: float) -> float:
-        z = (np.log1p(max(0.0, rate)) - self.rate_lo) / (self.rate_hi - self.rate_lo)
-        return float(np.clip(z, 0.0, 1.5))
-
-    def encode_op(
-        self, op, source_rate: float = 0.0, upstream_rate: float = 0.0
-    ) -> np.ndarray:
-        """h_v^(0) for one operator.
-
-        ``source_rate`` is non-zero only for source operators (the
-        paper's dynamic feature). ``upstream_rate`` is the operator's
-        offered upstream data rate (§II-A): derivable from the source
-        rates and static selectivities alone — no runtime observation —
-        so it is legitimately available at recommendation time.
-        """
-        parts: list[np.ndarray] = []
-        for name, kind in STATIC_FEATURES:
-            v = getattr(op, _ATTR[name])
-            if kind == "categorical":
-                cats = _CATEGORIES[name]
-                onehot = np.zeros(len(cats))
-                onehot[cats.index(v)] = 1.0
-                parts.append(onehot)
-            else:
-                parts.append(np.array([self._scale(name, float(v))]))
-        parts.append(np.array([float(np.clip(op.selectivity, 0.0, 2.0)) / 2.0]))
-        parts.append(np.array([self._scale_rate(source_rate)]))
-        parts.append(np.array([self._scale_rate(upstream_rate)]))
-        return np.concatenate(parts)
+    def _scale_rate(self, rate: float | np.ndarray) -> np.ndarray:
+        z = (np.log1p(np.maximum(0.0, rate)) - self.rate_lo) / (self.rate_hi - self.rate_lo)
+        return np.clip(z, 0.0, 1.5)
 
     def encode_dag(
         self, dag: DataflowDAG, source_rates: dict[str, float]
     ) -> tuple[list[str], np.ndarray]:
-        """Node features for a whole DAG, rows in topological order."""
+        """Node features h_v^(0) for a whole DAG, rows in topological
+        order, built one feature column at a time.
+
+        The source rate is non-zero only for source operators (the
+        paper's dynamic feature). The upstream rate is the operator's
+        offered upstream data rate (§II-A): derivable from the source
+        rates and static selectivities alone — no runtime observation —
+        so it is legitimately available at recommendation time.
+        """
         order = dag.topological_order()
+        ops = [dag.op(oid) for oid in order]
         up = upstream_rates(dag, source_rates)
-        rows = []
-        for oid in order:
-            op = dag.op(oid)
-            rate = source_rates[dag.sources[oid]] if oid in dag.sources else 0.0
-            rows.append(self.encode_op(op, rate, up[oid]))
-        return order, np.vstack(rows)
+        cols: list[np.ndarray] = []
+        for name, kind in STATIC_FEATURES:
+            vals = [getattr(op, _ATTR[name]) for op in ops]
+            if kind == "categorical":
+                cats = _CATEGORIES[name]
+                cols.append(np.eye(len(cats))[[cats.index(v) for v in vals]])
+            else:
+                cols.append(self._scale(name, np.array(vals, dtype=float))[:, None])
+        sel = np.array([op.selectivity for op in ops], dtype=float)
+        rate = [source_rates[dag.sources[oid]] if oid in dag.sources else 0.0 for oid in order]
+        cols.append(np.clip(sel, 0.0, 2.0)[:, None] / 2.0)
+        cols.append(self._scale_rate(np.array(rate))[:, None])
+        cols.append(self._scale_rate(np.array([up[oid] for oid in order]))[:, None])
+        return order, np.hstack(cols)
 
     def scale_parallelism(self, p) -> np.ndarray:
         """Parallelism → [0, 1]; monotone, so constraint semantics carry

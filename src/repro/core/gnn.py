@@ -14,13 +14,25 @@ The same machinery doubles as ZeroTune's *job-level* cost model
 vector and regress a scalar metric — exactly the aggregation the paper
 criticises for losing operator-level detail.
 
-Implementation: dense numpy with handwritten backprop and Adam — the
-DAGs have < 20 nodes, so dense is faster than any sparse machinery, and
-the container has no deep-learning framework (DESIGN.md §1).
+Implementation: dense numpy with handwritten backprop and Adam; the
+container has no deep-learning framework (DESIGN.md §1). The DAGs have
+at most ten nodes, so the fixed cost of each numpy call outweighs its
+arithmetic. Every pass therefore takes a *stack* of same-size graphs
+(a leading batch axis; nodes are ``axis=-2``), and a single graph is a
+stack without that axis, through the same code. Each graph of a stack
+goes through the same per-graph matrix products and reductions as it
+would alone, so stacking changes no bit. ``GNN.fit`` splits each shuffled
+minibatch by node count, runs one stacked ``loss_grads`` per size, puts
+the graphs' gradients back in minibatch order and adds them one graph at
+a time, the order of training one graph at a time. ``sum(axis=0)`` may
+add in another order and padding mixed sizes to the largest adds zeros
+into the reductions: either moves parameters in the last bits.
+``cumsum(axis=0)[-1]`` keeps the order but costs about three times the
+loop, its inner loop running along the short batch axis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,14 +43,47 @@ BATCH_SIZE = 16  # graphs per Adam step in GNN.fit
 class GraphSample:
     """One deployed dataflow: node features (topo order), normalised
     adjacency, scaled parallelisms, and labels (node-level bottleneck
-    indicators with −1 = unlabelled, and/or a graph-level scalar)."""
+    indicators with −1 = unlabelled, and/or a graph-level scalar).
+
+    A stack of same-size dataflows has the same fields with a leading
+    batch axis [B, ...]; ``a_in``/``a_out`` may stay [n, n] when every
+    graph of the stack shares them."""
 
     x: np.ndarray  # [n, d_in]
     a_in: np.ndarray  # [n, n]
     a_out: np.ndarray  # [n, n]
     p: np.ndarray | None = None  # [n], scaled to [0,1]
     y_node: np.ndarray | None = None  # [n], values in {-1, 0, 1}
-    y_graph: float | None = None
+    y_graph: float | np.ndarray | None = None
+
+    def take(self, rows: np.ndarray) -> "GraphSample":
+        """The stack of this stack's graphs at ``rows``."""
+        return GraphSample(
+            **{f.name: None if (v := getattr(self, f.name)) is None else v[rows] for f in fields(self)}
+        )
+
+
+def stack_by_size(samples: list[GraphSample]) -> list[tuple[np.ndarray, GraphSample]]:
+    """Group ``samples`` by node count: per count, the members' indices
+    into ``samples`` (ascending) and their stack.
+
+    Each sample's arrays become views of its row of the stack, so the
+    stacks are the only copy of the data, not a second one."""
+    sizes = np.array([len(s.x) for s in samples])
+    groups = []
+    for n in np.unique(sizes):
+        members = np.flatnonzero(sizes == n)
+        group = [samples[i] for i in members]
+        cols = {
+            f.name: np.array([getattr(s, f.name) for s in group])
+            for f in fields(GraphSample)
+            if getattr(group[0], f.name) is not None
+        }
+        for row, s in enumerate(group):
+            for name, col in cols.items():
+                setattr(s, name, col[row])
+        groups.append((members, GraphSample(**cols)))
+    return groups
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -47,6 +92,11 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30, 30)))
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of each graph's matrix."""
+    return a.swapaxes(-1, -2)
 
 
 class GNN:
@@ -125,13 +175,12 @@ class GNN:
         if self.use_fuse:
             if s.p is None:
                 raise ValueError("sample lacks parallelism for FUSE")
-            cat = np.concatenate([h, s.p.reshape(-1, 1)], axis=1)
+            cat = np.concatenate([h, s.p[..., None]], axis=-1)
             preF = cat @ P["Wf"] + P["bf"]
             z = _relu(preF)
             c["cat"], c["preF"] = cat, preF
         if self.head == "graph_reg":
-            zp = z.mean(axis=0, keepdims=True)  # summary vector (ZeroTune)
-            c["pool_n"] = z.shape[0]
+            zp = z.mean(axis=-2, keepdims=True)  # summary vector (ZeroTune)
         else:
             zp = z
         pre1 = zp @ P["W1"] + P["b1"]
@@ -141,11 +190,13 @@ class GNN:
         return out, c
 
     def forward(self, s: GraphSample) -> np.ndarray:
+        """Per-operator bottleneck probabilities [..., n] (node_binary
+        head) or the job-level prediction [..., 1] (graph_reg head)."""
         h, _ = self._encode(s)
         out, _ = self._head_forward(h, s)
         if self.head == "node_binary":
-            return _sigmoid(out).ravel()
-        return out.ravel()[0:1]
+            return _sigmoid(out)[..., 0]
+        return out[..., 0]
 
     def predict_proba(self, s: GraphSample) -> np.ndarray:
         """Per-operator bottleneck probability (node_binary head)."""
@@ -153,52 +204,52 @@ class GNN:
         return self.forward(s)
 
     # -- loss + handwritten gradients -------------------------------------
-    def loss_grads(self, s: GraphSample) -> tuple[float, dict[str, np.ndarray]]:
+    def loss_grads(self, s: GraphSample) -> tuple[float | np.ndarray, dict[str, np.ndarray]]:
+        """Loss and gradient of every parameter, per graph: for a stack,
+        losses [B] and gradients with the stack's leading axis."""
         P = self.params
         h, enc_cache = self._encode(s)
         out, c = self._head_forward(h, s)
-        grads = {k: np.zeros_like(v) for k, v in P.items()}
+        grads: dict[str, np.ndarray] = {}
 
         if self.head == "node_binary":
             assert s.y_node is not None
             mask = s.y_node >= 0
-            n_lab = max(1, int(mask.sum()))
-            prob = _sigmoid(out).ravel()
+            prob = _sigmoid(out)[..., 0]
             y = np.where(mask, s.y_node, 0).astype(float)
             # pos_weight rebalances the rare bottleneck class (most
             # historical deployments are over-provisioned → label 0).
             w = np.where(y > 0, self.pos_weight, 1.0) * mask
-            w = w / max(w.sum(), 1e-9)
+            w = w / np.maximum(w.sum(axis=-1, keepdims=True), 1e-9)
             eps = 1e-9
-            loss = float(
-                -(w * (y * np.log(prob + eps) + (1 - y) * np.log(1 - prob + eps))).sum()
-            )
-            dout = (w * (prob - y)).reshape(-1, 1)
+            loss = -(w * (y * np.log(prob + eps) + (1 - y) * np.log(1 - prob + eps))).sum(axis=-1)
+            dout = (w * (prob - y))[..., None]
         else:
             assert s.y_graph is not None
-            pred = float(out.ravel()[0])
-            loss = 0.5 * (pred - s.y_graph) ** 2
-            dout = np.array([[pred - s.y_graph]])
+            err = out[..., 0, 0] - s.y_graph
+            loss = 0.5 * err**2
+            dout = err[..., None, None]
 
         # head backward
         u, pre1, zp, z = c["u"], c["pre1"], c["zp"], c["z"]
-        grads["W2"] += u.T @ dout
-        grads["b2"] += dout.sum(axis=0)
+        grads["W2"] = _t(u) @ dout
+        grads["b2"] = dout.sum(axis=-2)
         du = dout @ P["W2"].T
         dpre1 = du * (pre1 > 0)
-        grads["W1"] += zp.T @ dpre1
-        grads["b1"] += dpre1.sum(axis=0)
+        grads["W1"] = _t(zp) @ dpre1
+        grads["b1"] = dpre1.sum(axis=-2)
         dzp = dpre1 @ P["W1"].T
         if self.head == "graph_reg":
-            dz = np.repeat(dzp, c["pool_n"], axis=0) / c["pool_n"]
+            n = z.shape[-2]
+            dz = np.repeat(dzp, n, axis=-2) / n
         else:
             dz = dzp
         if self.use_fuse:
             dpreF = dz * (c["preF"] > 0)
-            grads["Wf"] += c["cat"].T @ dpreF
-            grads["bf"] += dpreF.sum(axis=0)
+            grads["Wf"] = _t(c["cat"]) @ dpreF
+            grads["bf"] = dpreF.sum(axis=-2)
             dcat = dpreF @ P["Wf"].T
-            dh = dcat[:, : self.dim]
+            dh = dcat[..., : self.dim]
         else:
             dh = dz
 
@@ -207,20 +258,20 @@ class GNN:
             if entry[0] == "mp":
                 _, t, h_prev, msg_i, msg_o, pre = entry
                 dpre = dh * (pre > 0)
-                grads[f"Ws{t}"] += h_prev.T @ dpre
-                grads[f"Wi{t}"] += msg_i.T @ dpre
-                grads[f"Wo{t}"] += msg_o.T @ dpre
-                grads[f"b{t}_mp"] += dpre.sum(axis=0)
+                grads[f"Ws{t}"] = _t(h_prev) @ dpre
+                grads[f"Wi{t}"] = _t(msg_i) @ dpre
+                grads[f"Wo{t}"] = _t(msg_o) @ dpre
+                grads[f"b{t}_mp"] = dpre.sum(axis=-2)
                 dh = (
                     dpre @ P[f"Ws{t}"].T
-                    + s.a_in.T @ (dpre @ P[f"Wi{t}"].T)
-                    + s.a_out.T @ (dpre @ P[f"Wo{t}"].T)
+                    + _t(s.a_in) @ (dpre @ P[f"Wi{t}"].T)
+                    + _t(s.a_out) @ (dpre @ P[f"Wo{t}"].T)
                 )
             else:
                 _, x, pre0 = entry
                 dpre0 = dh * (pre0 > 0)
-                grads["W0"] += x.T @ dpre0
-                grads["b0"] += dpre0.sum(axis=0)
+                grads["W0"] = _t(x) @ dpre0
+                grads["b0"] = dpre0.sum(axis=-2)
         return loss, grads
 
     # -- optimisation ------------------------------------------------------
@@ -249,6 +300,12 @@ class GNN:
             n_pos = sum(int((s.y_node == 1).sum()) for s in samples)
             n_neg = sum(int((s.y_node == 0).sum()) for s in samples)
             self.pos_weight = max(1.0, n_neg / max(1, n_pos))
+        stacks = stack_by_size(samples)
+        group = np.empty(len(samples), dtype=int)  # sample → its stack
+        row = np.empty(len(samples), dtype=int)  # sample → its row there
+        for g, (members, _) in enumerate(stacks):
+            group[members] = g
+            row[members] = np.arange(len(members))
         history: list[float] = []
         idx = np.arange(len(samples))
         for _ in range(epochs):
@@ -256,28 +313,33 @@ class GNN:
             losses: list[float] = []
             for start in range(0, len(idx), BATCH_SIZE):
                 chunk = idx[start : start + BATCH_SIZE]
-                agg: dict[str, np.ndarray] | None = None
-                for i in chunk:
-                    loss, grads = self.loss_grads(samples[i])
-                    losses.append(loss)
-                    if agg is None:
-                        agg = grads
-                    else:
-                        for k in agg:
-                            agg[k] += grads[k]
-                assert agg is not None
-                for k in agg:
-                    agg[k] /= len(chunk)
-                self._adam_step(agg, lr)
+                loss = np.empty(len(chunk))
+                grads = {k: np.empty((len(chunk), *v.shape)) for k, v in self.params.items()}
+                for g in np.unique(group[chunk]):
+                    sel = group[chunk] == g
+                    loss[sel], part = self.loss_grads(stacks[g][1].take(row[chunk[sel]]))
+                    for k, v in part.items():
+                        grads[k][sel] = v
+                losses.extend(loss)
+                # Add the graphs' gradients one at a time in minibatch
+                # order, the order per-graph training added them in.
+                agg = {k: v[0] for k, v in grads.items()}
+                for j in range(1, len(chunk)):
+                    for k in agg:
+                        agg[k] += grads[k][j]
+                self._adam_step({k: v / len(chunk) for k, v in agg.items()}, lr)
             history.append(float(np.mean(losses)))
         return history
 
     def accuracy(self, samples: list[GraphSample]) -> float:
         """Labelled-node classification accuracy (node_binary head)."""
         hit = tot = 0
-        for s in samples:
-            prob = self.predict_proba(s)
-            mask = s.y_node >= 0
-            hit += int(((prob > 0.5).astype(int) == s.y_node)[mask].sum())
-            tot += int(mask.sum())
+        # Minibatch-sized stacks: a forward over a whole history's stack
+        # would hold every graph's activations at once.
+        for start in range(0, len(samples), BATCH_SIZE):
+            for _, s in stack_by_size(samples[start : start + BATCH_SIZE]):
+                prob = self.predict_proba(s)
+                mask = s.y_node >= 0
+                hit += int(((prob > 0.5).astype(int) == s.y_node)[mask].sum())
+                tot += int(mask.sum())
         return hit / max(1, tot)

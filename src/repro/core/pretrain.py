@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.features import FeatureEncoder, adjacency
-from repro.core.gnn import GNN, GraphSample
+from repro.core.gnn import GNN, GraphSample, stack_by_size
 from repro.graphs.clustering import elbow_k, kmeans_ged, nearest_center
 from repro.graphs.dag import DataflowDAG
 from repro.graphs.ged import GEDCache
@@ -27,9 +27,15 @@ TAU = 5.0
 DIM = 32
 
 
-def record_to_sample(rec: HistoryRecord, fe: FeatureEncoder) -> GraphSample:
-    """Encode one historical deployment as a GNN training sample."""
-    dag = DataflowDAG.from_json(rec.dag_json)
+def parse_dags(records: list[HistoryRecord]) -> dict[str, DataflowDAG]:
+    """Each distinct DAG string of ``records``, parsed once (the records
+    of one job share it)."""
+    return {j: DataflowDAG.from_json(j) for j in {r.dag_json for r in records}}
+
+
+def record_to_sample(rec: HistoryRecord, fe: FeatureEncoder, dag: DataflowDAG) -> GraphSample:
+    """Encode one historical deployment of ``dag`` (its parsed
+    ``rec.dag_json``) as a GNN training sample."""
     order, x = fe.encode_dag(dag, rec.rates)
     a_in, a_out = adjacency(dag, order)
     p = fe.scale_parallelism([rec.parallelism.get(o, 1) for o in order])
@@ -81,22 +87,30 @@ class PretrainedBundle:
         recs = self.cluster_records[cluster]
         enc = self.encoders[cluster]
         fe = self.feature_encoder
+        parsed = parse_dags(recs)
         rng = np.random.default_rng(seed)
-        order = rng.permutation(len(recs))
+        # The records in permutation order until max_points labelled
+        # operators are reached, embedded one stack per node count.
+        samples: list[GraphSample] = []
+        n_lab = 0
+        for i in rng.permutation(len(recs)):
+            rec = recs[int(i)]
+            samples.append(record_to_sample(rec, fe, parsed[rec.dag_json]))
+            n_lab += int((samples[-1].y_node >= 0).sum())
+            if n_lab >= max_points:
+                break
+        embs: dict[int, np.ndarray] = {}
+        for members, stack in stack_by_size(samples):
+            embs.update(zip(members, enc.embed(stack)))
         hs: list[np.ndarray] = []
         ps: list[float] = []
         ys: list[int] = []
-        for i in order:
-            rec = recs[int(i)]
-            s = record_to_sample(rec, fe)
-            emb = enc.embed(s)
-            vec = np.concatenate([emb, s.x], axis=1)  # skip connection
+        for i, s in enumerate(samples):
+            vec = np.concatenate([embs[i], s.x], axis=1)  # skip connection
             mask = s.y_node >= 0
             hs.extend(vec[mask])
             ps.extend(np.asarray(s.p)[mask])
             ys.extend(s.y_node[mask])
-            if len(ys) >= max_points:
-                break
         if not ys:
             return (
                 np.zeros((0, op_vector_dim(enc, fe))),
@@ -130,8 +144,7 @@ def pretrain(
     systems = sorted({r.system for r in records})
     if len(systems) > 1:
         raise ValueError(f"history mixes engines {systems}; pre-train one bundle per engine")
-    # Records of one job share its DAG string: parse each string once.
-    parsed = {j: DataflowDAG.from_json(j) for j in {r.dag_json for r in records}}
+    parsed = parse_dags(records)
     dags = [parsed[r.dag_json] for r in records]
     fe = FeatureEncoder().fit(
         [(dag, r.rates) for dag, r in zip(dags, records)], p_max=P_MAX[systems[0]]
@@ -152,7 +165,7 @@ def pretrain(
     encoders: list[GNN] = []
     accs: list[float] = []
     for c in range(k):
-        samples = [record_to_sample(r, fe) for r in cluster_records[c]]
+        samples = [record_to_sample(r, fe, parsed[r.dag_json]) for r in cluster_records[c]]
         gnn = GNN(d_in=fe.dim, dim=DIM, use_fuse=True, head="node_binary", seed=seed + c)
         labelled = [s for s in samples if (s.y_node >= 0).any()]
         if labelled:

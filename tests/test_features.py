@@ -60,8 +60,8 @@ class TestEncoding:
         from repro.core.features import _CATEGORIES
 
         fe = FeatureEncoder().fit([(_dag(), {"in": 1000.0})])
-        v_filter = fe.encode_op(_dag().op("f"))
-        v_window = fe.encode_op(_dag().op("w"))
+        order, x = fe.encode_dag(_dag(), {"in": 1000.0})
+        v_filter, v_window = x[order.index("f")], x[order.index("w")]
         assert not np.allclose(v_filter, v_window)
         # walk the layout: every categorical block is exactly one-hot
         pos = 0

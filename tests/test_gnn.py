@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.gnn import GNN, GraphSample, _sigmoid
+from repro.core.gnn import BATCH_SIZE, GNN, GraphSample, _sigmoid, stack_by_size
 
 
 def _line_graph(n=4, d_in=6, seed=0, p=None, y=None):
@@ -147,6 +147,150 @@ class TestGraphRegression:
         g = GNN(d_in=6, dim=8, head="graph_reg", use_fuse=False, seed=0)
         s = _line_graph()
         assert g.forward(s).shape == (1,)
+
+
+
+def _random_graph(n, d_in, seed, y_graph=None):
+    """A random DAG on ``n`` nodes (edges only from lower to higher index)
+    with row-normalised adjacency and some unlabelled nodes."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < 0.4, k=1).astype(float)
+    adj[np.arange(n - 1), np.arange(1, n)] = 1.0  # keep it connected
+    a_in, a_out = adj.T.copy(), adj.copy()
+    for a in (a_in, a_out):
+        rows = a.sum(axis=1, keepdims=True)
+        np.divide(a, rows, out=a, where=rows > 0)
+    return GraphSample(
+        x=rng.normal(0, 1, (n, d_in)),
+        a_in=a_in,
+        a_out=a_out,
+        p=rng.uniform(0, 1, n),
+        y_node=rng.integers(-1, 2, n),
+        y_graph=y_graph if y_graph is not None else float(rng.normal()),
+    )
+
+
+def _stack(samples):
+    ((_, stack),) = stack_by_size(samples)
+    return stack
+
+
+def _node_gnn():
+    return GNN(d_in=6, dim=16, hidden=8, seed=3)
+
+
+def _graph_gnn():
+    return GNN(d_in=6, dim=16, hidden=8, head="graph_reg", use_fuse=False, seed=3)
+
+
+class TestStacking:
+    """A stack of same-size graphs gives, graph by graph, exactly what
+    each graph gives alone (forward, embed, loss_grads), for both heads."""
+
+    def _same_size(self):
+        return [_random_graph(5, 6, seed) for seed in range(6)]
+
+    def _parallelism_only(self):
+        """ZeroTune-style candidates: one DAG and its features, one
+        shared adjacency, different parallelisms."""
+        base = _random_graph(5, 6, 0)
+        rng = np.random.default_rng(1)
+        return [
+            GraphSample(x=base.x, a_in=base.a_in, a_out=base.a_out, p=rng.uniform(0, 1, 5),
+                        y_node=base.y_node, y_graph=base.y_graph)
+            for _ in range(7)
+        ]
+
+    def _check(self, gnn, samples, stack):
+        out, emb = gnn.forward(stack), gnn.embed(stack)
+        loss, grads = gnn.loss_grads(stack)
+        assert out.shape[0] == emb.shape[0] == loss.shape[0] == len(samples)
+        for i, s in enumerate(samples):
+            assert np.array_equal(out[i], gnn.forward(s))
+            assert np.array_equal(emb[i], gnn.embed(s))
+            loss_i, grads_i = gnn.loss_grads(s)
+            assert loss[i] == loss_i
+            assert grads.keys() == grads_i.keys() == gnn.params.keys()
+            for k in grads_i:
+                assert grads_i[k].shape == gnn.params[k].shape
+                assert np.array_equal(grads[k][i], grads_i[k]), k
+
+    @pytest.mark.parametrize("make", [_node_gnn, _graph_gnn])
+    def test_stack_of_different_graphs(self, make):
+        samples = self._same_size()
+        self._check(make(), samples, _stack(samples))
+
+    def test_stack_differing_only_in_parallelism(self):
+        samples = self._parallelism_only()
+        self._check(_node_gnn(), samples, _stack(samples))
+
+    def test_candidates_with_shared_adjacency(self):
+        """ZeroTune's scoring: parallelism as a feature column, one
+        [n, n] adjacency broadcast over the stack of candidates."""
+        samples = [
+            GraphSample(x=np.concatenate([s.x[:, :5], s.p[:, None]], axis=1),
+                        a_in=s.a_in, a_out=s.a_out, y_graph=s.y_graph)
+            for s in self._parallelism_only()
+        ]
+        stack = _stack(samples)
+        stack.a_in, stack.a_out = samples[0].a_in, samples[0].a_out
+        self._check(_graph_gnn(), samples, stack)
+
+    def test_stack_by_size_groups_and_keeps_order(self):
+        samples = [_random_graph(n, 6, i) for i, n in enumerate([3, 5, 3, 7, 5, 3])]
+        copies = [_random_graph(n, 6, i) for i, n in enumerate([3, 5, 3, 7, 5, 3])]
+        groups = stack_by_size(samples)
+        assert [m.tolist() for m, _ in groups] == [[0, 2, 5], [1, 4], [3]]
+        for members, stack in groups:
+            for row, i in enumerate(members):
+                assert np.array_equal(stack.x[row], copies[i].x)
+                assert np.array_equal(stack.a_in[row], copies[i].a_in)
+                assert stack.y_graph[row] == copies[i].y_graph
+                # the sample now reads its row of the stack: no second copy
+                assert samples[i].x.base is stack.x
+                assert np.array_equal(samples[i].p, copies[i].p)
+
+
+def _reference_fit(gnn, samples, epochs, lr, seed):
+    """``GNN.fit`` one graph at a time: per-graph gradients summed in
+    minibatch order."""
+    rng = np.random.default_rng(seed)
+    if gnn.head == "node_binary":
+        n_pos = sum(int((s.y_node == 1).sum()) for s in samples)
+        n_neg = sum(int((s.y_node == 0).sum()) for s in samples)
+        gnn.pos_weight = max(1.0, n_neg / max(1, n_pos))
+    history = []
+    idx = np.arange(len(samples))
+    for _ in range(epochs):
+        rng.shuffle(idx)
+        losses = []
+        for start in range(0, len(idx), BATCH_SIZE):
+            chunk = idx[start : start + BATCH_SIZE]
+            agg = None
+            for i in chunk:
+                loss, grads = gnn.loss_grads(samples[i])
+                losses.append(loss)
+                if agg is None:
+                    agg = grads
+                else:
+                    for k in agg:
+                        agg[k] += grads[k]
+            for k in agg:
+                agg[k] /= len(chunk)
+            gnn._adam_step(agg, lr)
+        history.append(float(np.mean(losses)))
+    return history
+
+
+@pytest.mark.parametrize("make", [_node_gnn, _graph_gnn])
+def test_stacked_fit_matches_one_graph_at_a_time(make):
+    """Mixed node counts, so minibatches split into several stacks."""
+    samples = [_random_graph(n, 6, i) for i, n in enumerate([3, 5, 7, 5, 3, 10] * 6)]
+    stacked, reference = make(), make()
+    hist = stacked.fit(samples, epochs=3, lr=1e-2, seed=4)
+    assert hist == _reference_fit(reference, samples, epochs=3, lr=1e-2, seed=4)
+    for k, v in reference.params.items():
+        assert np.array_equal(stacked.params[k], v), k
 
 
 def test_sigmoid_stable():

@@ -15,6 +15,7 @@ from repro.core.pretrain import (
     pretrain_global,
     record_to_sample,
 )
+from repro.graphs.dag import DataflowDAG
 from repro.history import generate_history_local
 from repro.sim.workloads import full_catalogue
 
@@ -33,7 +34,8 @@ def bundle(history):
 
 class TestRecordToSample:
     def test_shapes(self, history, bundle):
-        s = record_to_sample(history[0], bundle.feature_encoder)
+        rec = history[0]
+        s = record_to_sample(rec, bundle.feature_encoder, DataflowDAG.from_json(rec.dag_json))
         n = len(s.p)
         assert s.x.shape[0] == n
         assert s.a_in.shape == (n, n)

@@ -26,14 +26,15 @@ class TestCostModel:
         rates = wl.rates(8)
         low = {o: 1 for o in wl.dag.tunable_operators()}
         high = {o: 40 for o in wl.dag.tunable_operators()}
-        assert model.predict(wl.dag, rates, low) > model.predict(wl.dag, rates, high)
+        cost_low, cost_high = model.costs(wl.dag, rates, [low, high])
+        assert cost_low > cost_high
 
     def test_deterministic(self, setup):
         cat, hist, model = setup
         wl = cat["pqp_linear_0"]
         par = {o: 10 for o in wl.dag.tunable_operators()}
-        assert model.predict(wl.dag, wl.rates(5), par) == model.predict(
-            wl.dag, wl.rates(5), par
+        np.testing.assert_array_equal(
+            model.costs(wl.dag, wl.rates(5), [par]), model.costs(wl.dag, wl.rates(5), [par])
         )
 
 
