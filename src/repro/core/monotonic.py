@@ -181,6 +181,22 @@ def _cut_points(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return T, np.array([v.searchsorted(t, "right") for v, t in zip(V, T)])
 
 
+def _left_right(a: np.ndarray, srt: np.ndarray, starts: np.ndarray, empty: np.ndarray):
+    """Sums of ``a`` over each row of ``srt`` left and right of every cut:
+    ``starts`` are the flat offsets of each row's segments and ``empty``
+    marks the segments with no rows. ``np.add.reduceat`` gives an empty
+    segment the element at its start rather than 0, and every start must
+    index the array: when the last row's last cut is at the row's end,
+    its last segment starts one past the last element, so the gathered
+    ``a`` is padded with one 0."""
+    padded = np.zeros(srt.size + 1)
+    a.take(srt.ravel(), out=padded[:-1])
+    seg = np.add.reduceat(padded, starts).reshape(empty.shape)
+    seg[empty] = 0.0
+    c = np.cumsum(seg, axis=1)
+    return c[:, :-1], c[:, -1:] - c[:, :-1]
+
+
 class MonotoneGBDT:
     """Gradient-boosted trees with a decreasing-monotone constraint on
     the parallelism feature (the last column), XGBoost-style.
@@ -211,50 +227,55 @@ class MonotoneGBDT:
         # np.clip's result, signed zeros included, at a third of its cost
         return np.minimum(np.maximum(-g / (hs + self.lam), lo), hi)
 
-    def _best_split(self, XT, XF, g, h, rows, lo, hi, feats):
+    def _best_split(self, XT, g, h, rows, lo, hi, cols):
         """The split the exhaustive scan picks at one node: the first
-        ``(feature, threshold)`` in scan order with the largest gain above
-        1e-6, or None. ``XT`` is the training matrix transposed and ``XF``
-        its rows ``feats``; ``rows[0]`` lists the node's rows in training
-        order and ``rows[1 + k]`` the same rows sorted by ``feats[k]``.
+        ``(column, threshold)`` in scan order with the largest gain above
+        1e-6, or None. ``XT`` is the training matrix transposed;
+        ``rows[0]`` lists the node's rows in training order and
+        ``rows[1 + k]`` the same rows sorted by column ``cols[k]``, whose
+        last entry is p.
 
-        Every candidate is scored at once from prefix sums over the sorted
-        rows. Those sums differ from per-candidate masked sums in the last
-        bits, so each score gets an upper bound on that error, and the
-        candidates whose bound reaches the best exact gain are re-scored
-        with masked sums — the scan's own arithmetic, which decides ties
-        and near-ties exactly as the scan does."""
+        Every candidate is scored at once from sums over the sorted rows:
+        each column's rows are cut into at most 9 segments at its
+        candidates, each segment is summed, and a cumsum of the segment
+        sums gives the left side of every candidate. Those sums differ
+        from per-candidate masked sums in the last bits, so each score gets
+        an upper bound on that error, and the candidates whose bound
+        reaches the best exact gain are re-scored with masked sums — the
+        scan's own arithmetic, which decides ties and near-ties exactly as
+        the scan does. ``cols`` may leave out columns that are constant on
+        the node: they have no candidates, so the scan never scores them,
+        and the ones left keep their scan order."""
         lam, p_idx = self.lam, len(XT) - 1
         r0, srt = rows[0], rows[1:]
         F, m = srt.shape
         gn, hn = g.take(r0), h.take(r0)
         G, H = gn.sum(), hn.sum()
         parent_score = G**2 / (H + lam)
-        V = XF.take(srt + np.arange(0, XF.size, XF.shape[1])[:, None])
-        T, n_left = _cut_points(V)
-        Gc, Hc = np.zeros((F, m + 1)), np.zeros((F, m + 1))  # prefix sums
-        np.cumsum(g.take(srt), axis=1, out=Gc[:, 1:])
-        np.cumsum(h.take(srt), axis=1, out=Hc[:, 1:])
-        at = n_left + np.arange(0, Gc.size, m + 1)[:, None]
-        GL, HL = Gc.take(at), Hc.take(at)
-        GR, HR = Gc[:, -1:] - GL, Hc[:, -1:] - HL
-        # Prefix sums and masked sums of m terms each err by at most
-        # m·eps·Σ|g| (m·eps·H for hessians). With |G·| ≤ Σ|g| and H· + lam
-        # ≥ lam, that bounds every approximate gain's and leaf value's
-        # distance from the masked-sum one; ``rel`` carries a 2× margin.
+        T, n_left = _cut_points(XT.take(srt + (cols * XT.shape[1])[:, None]))
+        cut = np.zeros((F, 10), np.intp)  # segment k of a column: sorted rows cut[k]..cut[k+1]
+        cut[:, 1:-1], cut[:, -1] = n_left, m
+        empty = cut[:, :-1] == cut[:, 1:]
+        starts = (cut[:, :-1] + np.arange(0, F * m, m)[:, None]).ravel()
+        (GL, GR), (HL, HR) = (_left_right(a, srt, starts, empty) for a in (g, h))
+        # Masked sums and these sums of m terms each err by at most
+        # m·eps·Σ|g| (m·eps·H for hessians) in any summation order. With
+        # |G·| ≤ Σ|g| and H· + lam ≥ lam, that bounds every approximate
+        # gain's and leaf value's distance from the masked-sum one; ``rel``
+        # carries a 2× margin.
         rel, A = 4.0 * m * np.finfo(float).eps, np.abs(gn).sum()
         eH = rel * H
         tol = rel * A * A / lam * (8.0 + 2.0 * H / lam)
         gain_ub = GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent_score + tol
         ok = ~np.isnan(T) & (HL + eH >= self.min_child) & (HR + eH >= self.min_child)
         wl, wr = self._leaf_value(GL[-1], HL[-1], lo, hi), self._leaf_value(GR[-1], HR[-1], lo, hi)
-        ok[-1] &= wl + rel * (3.0 * A * (1.0 + H / lam) / lam + 8.0) >= wr  # feats[-1] is p
+        ok[-1] &= wl + rel * (3.0 * A * (1.0 + H / lam) / lam + 8.0) >= wr  # cols[-1] is p
         gain_ub = np.where(ok, gain_ub, -np.inf).ravel()
         best_gain, best = 1e-6, None
         for c in np.argsort(-gain_ub, kind="stable"):
             if gain_ub[c] < best_gain:
                 break
-            f, thr = feats[c // 8], T.flat[c]
+            f, thr = cols[c // 8], T.flat[c]
             mask = XT[f].take(r0) <= thr
             gl, hl = gn[mask].sum(), hn[mask].sum()
             gr, hr = gn[~mask].sum(), hn[~mask].sum()
@@ -267,27 +288,37 @@ class MonotoneGBDT:
                 best_gain, best = gain, (c, f, thr, gl, hl, gr, hr)
         return None if best is None else best[1:]
 
-    def _grow(self, XT, g, h, order, feats, nodes: list) -> np.ndarray:
+    def _grow(self, XT, g, h, order, cols, nodes: list) -> np.ndarray:
         """Append one tree to ``nodes`` (rows ``[feat, thr, left, right,
         value]``, numbered across the ensemble) and return the leaf value
-        each training row reached.
+        each training row reached. ``cols`` are the tree's sampled columns,
+        p last.
+
+        Each node carries the columns not yet seen to be constant on its
+        rows: before its split search, a node drops those whose first and
+        last sorted values are equal, and its children start from what is
+        left. A constant column has no candidates, so dropping it changes
+        no split; p always stays, last.
 
         Pending nodes sit on an explicit stack. A recursive builder written
         as a closure that calls itself is a reference cycle: it keeps every
         round's row arrays alive until the next garbage-collector pass,
         which raised the sweeps' peak RSS by 8–11 % when measured."""
         p_idx = len(XT) - 1
-        XF = XT[feats]
         reached = np.empty(len(g))
-        stack = [(len(nodes), np.vstack([np.arange(len(g)), order[feats]]), 0, -4.0, 4.0)]
+        stack = [(len(nodes), cols, np.vstack([np.arange(len(g)), order[cols]]), 0, -4.0, 4.0)]
         nodes.append([0, 0.0, 0, 0, 0.0])
         while stack:
-            i, rows, depth, lo, hi = stack.pop()
+            i, cols, rows, depth, lo, hi = stack.pop()
             node = nodes[i]
             node[4] = float(self._leaf_value(g.take(rows[0]).sum(), h.take(rows[0]).sum(), lo, hi))
             split = None
             if depth < self.max_depth and rows.shape[1] >= 4:
-                split = self._best_split(XT, XF, g, h, rows, lo, hi, feats)
+                live = np.ones(len(rows), bool)  # rows[0] and p stay
+                live[1:-1] = XT[cols[:-1], rows[1:-1, 0]] != XT[cols[:-1], rows[1:-1, -1]]
+                if not live.all():
+                    cols, rows = cols[live[1:]], rows[live]
+                split = self._best_split(XT, g, h, rows, lo, hi, cols)
             if split is None:
                 node[2] = node[3] = i
                 reached[rows[0]] = node[4]
@@ -300,8 +331,8 @@ class MonotoneGBDT:
             if f == p_idx:
                 mid = 0.5 * (self._leaf_value(gl, hl, lo, hi) + self._leaf_value(gr, hr, lo, hi))
                 lb, rb = (mid, hi), (lo, mid)
-            stack.append((node[3], rows[~go_left].reshape(len(rows), -1), depth + 1) + rb)
-            stack.append((node[2], rows[go_left].reshape(len(rows), -1), depth + 1) + lb)
+            stack.append((node[3], cols, rows[~go_left].reshape(len(rows), -1), depth + 1) + rb)
+            stack.append((node[2], cols, rows[go_left].reshape(len(rows), -1), depth + 1) + lb)
             del rows, go_left
         return reached
 

@@ -70,8 +70,9 @@ class PretrainedBundle:
     train_acc: list[float] = field(default_factory=list)
 
     def cluster_for(self, dag: DataflowDAG) -> int:
-        """Nearest cluster by GED to the similarity centers (Alg. 2 l.1)."""
-        return nearest_center(dag, self.centers)
+        """Nearest cluster by GED to the similarity centers (Alg. 2 l.1);
+        with one cluster, every job's, without a GED."""
+        return 0 if len(self.centers) == 1 else nearest_center(dag, self.centers)
 
     def warmup_dataset(
         self,
@@ -136,9 +137,11 @@ def pretrain(
 
     ``k=None`` selects k with the elbow method over the distinct DAG
     structures (paper §V-A). ``spark`` distributes the k-means assignment
-    step; training itself is per-cluster numpy (graphs are tiny). The
-    parallelism scale is the ``p_max`` of the engine the history was
-    recorded on, so the history must come from a single engine."""
+    step; training itself is per-cluster numpy (graphs are tiny). With
+    ``k == 1`` there is nothing to cluster or route: no similarity center
+    is searched for, and the bundle's one center is the first record's
+    DAG. The parallelism scale is the ``p_max`` of the engine the history
+    was recorded on, so the history must come from a single engine."""
     if not records:
         raise ValueError("empty history")
     systems = sorted({r.system for r in records})
@@ -158,9 +161,13 @@ def pretrain(
         for d in dags:
             distinct.setdefault(d.canonical_key(), d)
         k = elbow_k(list(distinct.values()), tau=TAU, seed=seed, memo=memo)
-    clust = kmeans_ged(dags, k, tau=TAU, seed=seed, spark=spark, memo=memo)
+    if k == 1:
+        centers, assignments = [dags[0]], [0] * len(records)
+    else:
+        clust = kmeans_ged(dags, k, tau=TAU, seed=seed, spark=spark, memo=memo)
+        centers, assignments = clust.centers, clust.assignments
     cluster_records: list[list[HistoryRecord]] = [[] for _ in range(k)]
-    for rec, a in zip(records, clust.assignments):
+    for rec, a in zip(records, assignments):
         cluster_records[a].append(rec)
     encoders: list[GNN] = []
     accs: list[float] = []
@@ -176,7 +183,7 @@ def pretrain(
         encoders.append(gnn)
     return PretrainedBundle(
         feature_encoder=fe,
-        centers=clust.centers,
+        centers=centers,
         encoders=encoders,
         cluster_records=cluster_records,
         train_acc=accs,

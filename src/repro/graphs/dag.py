@@ -72,12 +72,17 @@ class DataflowDAG:
 
     ``sources`` maps source operator ids to a *source name* (e.g. "bids"),
     used to attach per-source rates at execution time.
+
+    A DAG is not changed after construction: its structure — operator by
+    id, upstream and downstream lists, topological order, canonical key —
+    is derived once and kept in ``_memo``.
     """
 
     name: str
     operators: list[Operator]
     edges: list[tuple[str, str]]
     sources: dict[str, str] = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ids = [o.op_id for o in self.operators]
@@ -99,38 +104,39 @@ class DataflowDAG:
                 f"{self.name}: sources {sorted(self.sources)} != "
                 f"source-typed operators {sorted(src_ops)}"
             )
-        self.topological_order()  # raises on cycles
-
-    # -- structure accessors -------------------------------------------------
-    def op(self, op_id: str) -> Operator:
-        for o in self.operators:
-            if o.op_id == op_id:
-                return o
-        raise KeyError(op_id)
-
-    def upstream(self, op_id: str) -> list[str]:
-        return [u for u, v in self.edges if v == op_id]
-
-    def downstream(self, op_id: str) -> list[str]:
-        return [v for u, v in self.edges if u == op_id]
-
-    def topological_order(self) -> list[str]:
-        """Kahn topological sort; deterministic (insertion order ties)."""
-        indeg = {o.op_id: 0 for o in self.operators}
-        for _, v in self.edges:
-            indeg[v] += 1
+        up: dict[str, list[str]] = {i: [] for i in ids}
+        down: dict[str, list[str]] = {i: [] for i in ids}
+        for u, v in self.edges:  # edge order
+            up[v].append(u)
+            down[u].append(v)
+        # Kahn topological sort; deterministic (insertion order ties)
+        indeg = {i: len(up[i]) for i in ids}
         queue = [i for i, d in indeg.items() if d == 0]
         order: list[str] = []
         while queue:
             u = queue.pop(0)
             order.append(u)
-            for v in self.downstream(u):
+            for v in down[u]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     queue.append(v)
-        if len(order) != len(self.operators):
+        if len(order) != len(ids):
             raise ValueError(f"{self.name}: cycle detected")
-        return order
+        self._memo.update(op=dict(zip(ids, self.operators)), up=up, down=down, order=order)
+
+    # -- structure accessors -------------------------------------------------
+    def op(self, op_id: str) -> Operator:
+        return self._memo["op"][op_id]
+
+    def upstream(self, op_id: str) -> list[str]:
+        return list(self._memo["up"].get(op_id, ()))
+
+    def downstream(self, op_id: str) -> list[str]:
+        return list(self._memo["down"].get(op_id, ()))
+
+    def topological_order(self) -> list[str]:
+        """Kahn topological sort; deterministic (insertion order ties)."""
+        return list(self._memo["order"])
 
     def ancestors(self, op_id: str) -> set[str]:
         seen: set[str] = set()
@@ -209,7 +215,9 @@ class DataflowDAG:
     def canonical_key(self) -> str:
         """Structure+label hash key: identical DAGs (up to op-id renaming in
         topological order) share a key. Used to deduplicate GED work."""
-        order = {oid: i for i, oid in enumerate(self.topological_order())}
+        if "key" in self._memo:
+            return self._memo["key"]
+        order = {oid: i for i, oid in enumerate(self._memo["order"])}
         ops = sorted(
             (
                 order[o.op_id],
@@ -223,4 +231,5 @@ class DataflowDAG:
             for o in self.operators
         )
         edges = sorted((order[u], order[v]) for u, v in self.edges)
-        return json.dumps([ops, edges])
+        key = self._memo["key"] = json.dumps([ops, edges])
+        return key

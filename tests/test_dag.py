@@ -89,6 +89,18 @@ class TestDataflowDAG:
         assert dag.downstream("s") == ["a", "b"]
         assert dag.downstream("k") == []
 
+    def test_returned_lists_are_copies(self):
+        """The structure is derived once; a caller that changes a returned
+        list changes neither the DAG nor the next call's answer."""
+        dag = _diamond()
+        for get, arg in ((dag.topological_order, ()), (dag.upstream, ("c",)), (dag.downstream, ("s",))):
+            first = get(*arg)
+            want = list(first)
+            first.append("x")
+            first.reverse()
+            assert get(*arg) == want
+        assert dag == _diamond() and dag.canonical_key() == _diamond().canonical_key()
+
     def test_ancestors_descendants(self):
         dag = _diamond()
         assert dag.ancestors("c") == {"s", "a", "b"}

@@ -173,9 +173,45 @@ class TestGBDTSplitSearch:
         model = MonotoneGBDT()
         XT = np.ascontiguousarray(X.T)
         rows = np.vstack([node, node[np.argsort(XT[feats][:, node], axis=1, kind="stable")]])
-        got = model._best_split(XT, XT[feats], g, h, rows, lo, hi, feats)
+        got = model._best_split(XT, g, h, rows, lo, hi, feats)
         want = _scan_split(model, X[node], g[node], h[node], lo, hi, feats)
         assert (None if got is None else got[:2]) == want
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_constant_columns_change_no_split(self, seed):
+        """Constant columns interleaved into a node's column list add no
+        candidate and reorder none: the split is the same, bit for bit,
+        once column indices are mapped back."""
+        rng = np.random.default_rng(100 + seed)
+        n, d, n_const = int(rng.integers(8, 300)), 5, 4
+        X = np.column_stack([
+            rng.integers(0, 3, (n, 2)).astype(float),
+            rng.normal(0, 1, (n, 3)),
+            rng.integers(1, 13, n) / 12.0,  # parallelism
+        ])
+        X[:, 4] = -X[:, 0]  # mirrors feature 0: equal gains decided by scan order
+        y = (X[:, -1] < 0.3 + 0.1 * X[:, 0]).astype(float)
+        w = np.where(rng.random(n) < 0.3, 5.0, 1.0)
+        g, h = w * (0.5 - y), 0.25 * w
+        const = np.sort(rng.choice(d + n_const, n_const, replace=False))
+        live = np.setdiff1d(np.arange(d + n_const), const)
+        W = np.zeros((n, d + n_const + 1))
+        W[:, live], W[:, const], W[:, -1] = X[:, :d], rng.choice([0.0, 1.0, -2.5], n_const), X[:, -1]
+        feats = rng.permutation(d)
+        wide = list(live[feats])
+        for c in const:
+            wide.insert(int(rng.integers(0, len(wide) + 1)), c)
+        node = np.sort(rng.choice(n, size=max(4, n * 2 // 3), replace=False))
+        lo, hi = (-4.0, 4.0) if seed % 3 else (-0.2, 0.7)
+        model = MonotoneGBDT()
+        got = []
+        for M, cols in ((X, [*feats, d]), (W, [*wide, d + n_const])):
+            XT, cols = np.ascontiguousarray(M.T), np.array(cols)
+            rows = np.vstack([node, node[np.argsort(XT[cols][:, node], axis=1, kind="stable")]])
+            got.append(model._best_split(XT, g, h, rows, lo, hi, cols))
+        narrow = dict(zip(live, range(d))) | {d + n_const: d}
+        assert got[0] is not None
+        assert got[0] == (narrow[got[1][0]], *got[1][1:])
 
 
 class TestPlainNN:
@@ -317,6 +353,21 @@ def _golden_case(name):
         h, p, y, _ = _boundary_data(n=600, d=32, seed=5)
         w = np.where(np.arange(600) >= 400, 5.0, 1.0)
         model = MonotoneGBDT(seed=3)
+    elif name == "mf_shaped":
+        # M_f's real rows: a third of the columns constant (dead ReLU units,
+        # unused one-hot categories), a quarter binary (one-hots), p on the
+        # 1/p_max grid, about 2 % bottlenecks and feedback rows weighted 5×
+        n = 900
+        h = np.column_stack([
+            np.maximum(rng.normal(0, 1, (n, 17)), 0.0),  # live ReLU units
+            rng.integers(0, 2, (n, 10)).astype(float),  # one-hot categories
+            np.repeat([[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.25, 0.0, 0.0, 0.0, 2.0]], n, 0),
+        ])[:, rng.permutation(40)]
+        p = rng.integers(1, 101, n) / 100.0
+        y = (p < 0.01 + 0.03 / (1.0 + np.exp(-h[:, :20].sum(axis=1) + 5.0))).astype(int)
+        y[rng.random(n) < 0.005] = 1
+        w = np.where(np.arange(n) >= 700, 5.0, 1.0)
+        model = MonotoneGBDT(seed=4)
     else:
         raise KeyError(name)
     return model, h, p, y, w

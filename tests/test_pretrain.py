@@ -55,6 +55,20 @@ class TestPretrainGlobal:
         cat = full_catalogue("flink")
         assert bundle.cluster_for(cat["nexmark_q1"].dag) == 0
 
+    def test_one_cluster_runs_no_ged(self, history, monkeypatch):
+        """With one cluster there is nothing to cluster or route: neither
+        pre-training nor a tuner's cluster lookup runs a GED search."""
+        from repro.core.tuner import StreamTuneTuner
+
+        runs = []
+        search = ged_mod._Search.run
+        monkeypatch.setattr(ged_mod._Search, "run", lambda s, t: runs.append(t) or search(s, t))
+        b = pretrain_global(history, epochs=1, seed=0)
+        cat = full_catalogue("flink")
+        tuners = [StreamTuneTuner(b, cat[n], seed=1) for n in ("nexmark_q1", "nexmark_q5")]
+        assert len(b.centers) == 1 and [t.cluster for t in tuners] == [0, 0]
+        assert runs == []
+
 
 class TestPretrainClustered:
     def test_k2_partitions_structures(self, history):

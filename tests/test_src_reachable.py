@@ -6,7 +6,8 @@ modules they import: absolute, relative and function-local imports, plus
 the ``"repro.x:fn"`` target strings that perfbench resolves at run time.
 A module that only ``tests/`` import is either wired into the program or
 deleted; this test makes ``pytest tests/`` fail first. The same parse
-also checks that the tuners reach the engine through one path.
+also checks that the tuners reach the engine through one path, and that
+no module but ``graphs/dag.py`` changes a DAG after it is built.
 """
 import ast
 import re
@@ -94,3 +95,71 @@ def test_tuners_reach_the_engine_only_through_the_deployer():
         _module_name(p, _SRC) for p in (_SRC / "repro").rglob("*.py") if _calls(p, "simulate")
     }
     assert callers <= allowed, f"call simulate outside the Deployer: {sorted(callers - allowed)}"
+
+
+#: The fields a ``DataflowDAG`` derives its memoised structure from, and
+#: the methods that change a list or dict in place.
+_DAG_FIELDS = {"operators", "edges", "sources"}
+_MUTATORS = {
+    "append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse",
+    "update", "setdefault", "popitem",
+}
+
+
+def _dag_field(node) -> bool:
+    """True when ``node`` is ``x.operators``/``.edges``/``.sources`` or an
+    item of one."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in _DAG_FIELDS
+
+
+def _dag_field_writes(tree) -> list[int]:
+    """Lines of ``tree`` that assign to, delete from or mutate in place a
+    DAG field."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Attribute, ast.Subscript)):
+            hit = isinstance(node.ctx, (ast.Store, ast.Del)) and _dag_field(node)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            hit = (isinstance(f, ast.Attribute) and f.attr in _MUTATORS and _dag_field(f.value)) or (
+                getattr(f, "id", None) in ("setattr", "delattr")
+                and len(node.args) > 1
+                and getattr(node.args[1], "value", None) in _DAG_FIELDS
+            )
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_dag_fields_change_only_in_the_dag_module():
+    # ``DataflowDAG`` derives its operator map, adjacency, topological
+    # order and canonical key once, so a DAG changed after construction
+    # would answer from stale structure.
+    own = _SRC / "repro" / "graphs" / "dag.py"
+    writes = {
+        _module_name(p, _SRC): lines
+        for p in (_SRC / "repro").rglob("*.py")
+        if p != own and (lines := _dag_field_writes(ast.parse(p.read_text())))
+    }
+    assert not writes, f"change a DAG after construction: {writes}"
+
+
+def test_dag_field_scan_sees_writes():
+    src = """
+dag.edges = []
+dag.sources["s"] = "bids"
+del g.operators[0]
+dag.edges += [("a", "b")]
+x.a, dag.sources = 1, {}
+dag.edges.append(("a", "b"))
+dag.sources.update(s="bids")
+dag.operators.sort(key=str)
+setattr(dag, "edges", [])
+ok = dag.edges[0] + list(dag.sources)
+dag.other.append(1)
+"""
+    assert _dag_field_writes(ast.parse(src)) == list(range(2, 11))
