@@ -10,14 +10,33 @@ operators, two 5-operator DAGs of different shape) feeds both GNN heads:
 
 Each value is a sha256 over the exact float64 values, so any change in
 summation order or rounding fails.
+
+Bit-level pins of BLAS output hold only for one kernel: numpy's bundled
+OpenBLAS is built with ``DYNAMIC_ARCH=1`` and picks its dgemm kernel from
+the CPU when it loads, and the kernels sum in different orders. The
+reference backend is OpenBLAS's ``Prescott`` kernel, one thread, with
+numpy's own SIMD dispatch left native. ``OPENBLAS_CORETYPE`` is read only
+when the library loads, so the digests are computed in a child interpreter
+started with the kernel pinned, and the test checks that the child's
+OpenBLAS reports that kernel. It is skipped where numpy's BLAS is not an
+x86_64 OpenBLAS with ``DYNAMIC_ARCH=1``, since the kernel does not exist
+there.
+
+``PYTHONPATH=src python tests/test_gnn_golden.py`` regenerates the golden
+file through the same pinned child (only when a change is meant to move it).
 """
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.baselines.zerotune as zerotune
 from repro.baselines.zerotune import N_SAMPLES, ZeroTuneCostModel, ZeroTuneTuner
 from repro.core.pretrain import pretrain_global
@@ -28,6 +47,24 @@ JOBS = ("nexmark_q1", "nexmark_q5", "pqp_linear_0", "nexmark_q3", "pqp_2way_0", 
 EPOCHS = 3
 
 _GOLDEN = json.loads(Path(__file__).with_name("gnn_golden.json").read_text())
+
+# The BLAS backend the golden was recorded on; OPENBLAS_VERBOSE=2 makes
+# OpenBLAS name its kernel on stderr ("Core: Prescott") when it loads.
+KERNEL = "Prescott"
+_PIN = {"OPENBLAS_CORETYPE": KERNEL, "OPENBLAS_NUM_THREADS": "1", "OPENBLAS_VERBOSE": "2"}
+
+
+def _kernel_exists() -> bool:
+    """Whether numpy's BLAS is an x86_64 OpenBLAS that can run ``KERNEL``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return (
+        platform.machine() == "x86_64"
+        and "openblas" in blas.get("name", "")
+        and "DYNAMIC_ARCH=1" in blas.get("openblas configuration", "").split()
+    )
 
 
 def _sha(values) -> str:
@@ -70,13 +107,36 @@ def digests(monkeypatch) -> dict:
     }
 
 
-def test_gnn_training_and_scoring_match_golden(monkeypatch):
-    assert digests(monkeypatch) == _GOLDEN
+def pinned_digests() -> dict:
+    """``digests`` computed in a child interpreter on the ``KERNEL`` kernel."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, __file__, "--print"],
+        env={**os.environ, **_PIN, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    # A host that ignored the pin would compare another kernel's bits.
+    assert f"Core: {KERNEL}" in child.stderr.splitlines(), child.stderr
+    return json.loads(child.stdout)
+
+
+@pytest.mark.skipif(
+    not _kernel_exists(),
+    reason=f"numpy's BLAS is not an x86_64 OpenBLAS with DYNAMIC_ARCH=1: no {KERNEL} kernel",
+)
+def test_gnn_training_and_scoring_match_golden():
+    assert pinned_digests() == _GOLDEN
 
 
 if __name__ == "__main__":
-    # Regenerate the golden file (only when a change is meant to move it).
-    with pytest.MonkeyPatch.context() as mp:
+    if sys.argv[1:] == ["--print"]:
+        with pytest.MonkeyPatch.context() as mp:
+            print(json.dumps(digests(mp)))
+    else:
+        # Regenerate the golden file (only when a change is meant to move it).
         Path(__file__).with_name("gnn_golden.json").write_text(
-            json.dumps(digests(mp), indent=1, sort_keys=True) + "\n"
+            json.dumps(pinned_digests(), indent=1, sort_keys=True) + "\n"
         )
