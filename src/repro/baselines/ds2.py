@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from repro.core.tuner import Deployer, TuneProcessResult, TuningProcess
-from repro.sim.engine import SimResult
+from repro.sim.engine import PROFILES, SimResult
 from repro.sim.workloads import Workload
 
 #: Floor on observed busy so rate/busy stays finite on idle operators.
@@ -76,24 +76,25 @@ class DS2Tuner:
     def _recommend(self, par: dict[str, int], obs: SimResult, tgt: dict[str, float]) -> dict[str, int]:
         """p* = ⌈p_cur · target_input / true_rate⌉ per tunable operator."""
         rec: dict[str, int] = {}
+        ratchet, p_max = not PROFILES[self.wl.system].backpressure, self.wl.p_max
         for oid in self.wl.dag.tunable_operators():
             true_rate = estimate_true_rate(obs.metrics[oid])
             if true_rate <= 0:
                 rec[oid] = par.get(oid, 1)
                 continue
             p = math.ceil(par.get(oid, 1) * tgt[oid] / true_rate)
-            if self.wl.system == "timely":
+            if ratchet:
                 # Timely's spinning workers always look ~100 % busy, so
                 # DS2 cannot distinguish idle capacity from saturation:
                 # scaling down an apparently-saturated operator would
                 # violate its throughput objective, so it only ever
                 # ratchets up (the paper's Fig. 8a over-provisioning).
                 p = max(p, par.get(oid, 1))
-            rec[oid] = int(min(max(1, p), self.wl.p_max))
+            rec[oid] = int(min(max(1, p), p_max))
         return rec
 
     def tune(self, current: dict[str, int], rates: dict[str, float]) -> TuneProcessResult:
-        if self.wl.system == "timely" and self._stale_obs is not None:
+        if not PROFILES[self.wl.system].backpressure and self._stale_obs is not None:
             obs = self._stale_obs  # no fresh trigger signal on Timely
         else:
             obs = self._observe(current, rates)  # triggering observation (not counted)

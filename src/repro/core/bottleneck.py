@@ -15,7 +15,7 @@ deployments) and online feedback collection (Algorithm 2, line 10).
 from __future__ import annotations
 
 from repro.graphs.dag import DataflowDAG
-from repro.sim.engine import SimResult
+from repro.sim.engine import PROFILES, SimResult
 
 #: Resource-utilisation threshold T (paper: "CPU load exceeding 60%").
 CPU_THRESHOLD = 0.60
@@ -29,7 +29,7 @@ def label_operators(dag: DataflowDAG, result: SimResult) -> dict[str, int]:
     labels = {o.op_id: UNLABELLED for o in dag.operators}  # line 1
     if not result.job_backpressure:  # lines 2–6
         return {o: 0 for o in labels}
-    if result.system == "timely":
+    if not PROFILES[result.system].backpressure:
         # Timely identifies bottlenecks directly (§V-B): an operator whose
         # processed rate falls below 85 % of its upstreams' output IS the
         # bottleneck — there is no backpressure cascade to walk. Operators

@@ -19,7 +19,7 @@ from repro.graphs.clustering import elbow_k, kmeans_ged, nearest_center
 from repro.graphs.dag import DataflowDAG
 from repro.graphs.ged import GEDCache
 from repro.history import HistoryRecord
-from repro.sim.workloads import P_MAX
+from repro.sim.engine import PROFILES
 
 #: GED threshold τ of the similarity-center search (Def. 1).
 TAU = 5.0
@@ -150,7 +150,7 @@ def pretrain(
     parsed = parse_dags(records)
     dags = [parsed[r.dag_json] for r in records]
     fe = FeatureEncoder().fit(
-        [(dag, r.rates) for dag, r in zip(dags, records)], p_max=P_MAX[systems[0]]
+        [(dag, r.rates) for dag, r in zip(dags, records)], p_max=PROFILES[systems[0]].p_max
     )
     # One GED memo for the whole clustering: the elbow's k-means runs, the
     # final one and their similarity centers meet the same pairs again.

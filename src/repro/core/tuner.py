@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.bottleneck import label_operators, saturated_ops
 from repro.core.monotonic import make_model, min_safe_parallelism
 from repro.core.pretrain import PretrainedBundle, op_vectors
-from repro.sim.engine import SimResult, simulate
+from repro.sim.engine import PROFILES, SimResult, simulate
 from repro.sim.workloads import Workload
 
 #: Paper §V-A: "a 10-minute wait is enforced between reconfigurations".
@@ -301,7 +301,7 @@ class StreamTuneTuner:
             hardened rather than memoised as safe."""
             if res.job_backpressure:
                 return True
-            if self.wl.system == "flink":
+            if PROFILES[self.wl.system].backpressure:
                 return res.throttle < 0.95
             return any(
                 m.busy > 0.97

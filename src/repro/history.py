@@ -43,7 +43,6 @@ class HistoryRecord:
     rates: dict[str, float]
     parallelism: dict[str, int]
     labels: dict[str, int]  # -1 unlabelled / 0 / 1
-    job_backpressure: bool
     job_latency: float  # job-level cost proxy (ZeroTune's regression target)
 
     def to_row(self) -> dict:
@@ -54,7 +53,6 @@ class HistoryRecord:
             "rates_json": json.dumps(self.rates),
             "par_json": json.dumps(self.parallelism),
             "labels_json": json.dumps(self.labels),
-            "job_backpressure": self.job_backpressure,
             "job_latency": self.job_latency,
         }
 
@@ -67,7 +65,6 @@ class HistoryRecord:
             rates=json.loads(row["rates_json"]),
             parallelism={k: int(v) for k, v in json.loads(row["par_json"]).items()},
             labels={k: int(v) for k, v in json.loads(row["labels_json"]).items()},
-            job_backpressure=bool(row["job_backpressure"]),
             job_latency=float(row["job_latency"]),
         )
 
@@ -106,7 +103,6 @@ def _deploy_and_label(
         rates=rates,
         parallelism=parallelism,
         labels=labels,
-        job_backpressure=res.job_backpressure,
         job_latency=job_latency_proxy(res),
     )
 
@@ -167,7 +163,7 @@ def generate_history(
     )
     schema = (
         "job string, dag_json string, system string, rates_json string, par_json string, "
-        "labels_json string, job_backpressure boolean, job_latency double"
+        "labels_json string, job_latency double"
     )
 
     def _run(batches):

@@ -13,18 +13,16 @@ a logical DAG with a parallelism vector and source rates:
   features the GNN observes.
 * **Rate propagation** (:meth:`DataflowDAG.propagate`) in topological
   order with operator selectivities, each processed rate capped at PA.
-* **Backpressure (Flink)**: if any operator's offered input exceeds its
-  PA, sources are throttled by the binding factor α and every ancestor of
-  a bottleneck-cause operator accrues backpressured time ``1 − α``. An
-  operator is *detected* as backpressured when that fraction exceeds 10 %
-  (the paper's Flink rule); job-level backpressure is any detection.
-* **No backpressure (Timely)**: sources never throttle; an operator whose
-  PA is below 85 % of its offered input is a bottleneck (the paper's
-  Timely rule) and its queue deficit propagates as reduced output.
+* **Engine differences** (paper §V-B) are the fields of one frozen
+  :class:`SystemProfile` per engine, :data:`PROFILES`. With backpressure
+  (Flink) the sources are throttled by the binding factor α and every
+  ancestor of a bottleneck-cause operator accrues backpressured time
+  ``1 − α``; without it (Timely) queues absorb the excess. Job-level
+  backpressure is any operator's detection by the profile's rule.
 * **Measurement noise** on the observed busy fraction / CPU — the
   "useful time is intricate to measure" effect that the paper blames for
-  DS2's and ContTune's mis-provisioning. Timely additionally inflates
-  observed busy time because its non-blocking operators spin.
+  DS2's and ContTune's mis-provisioning. Spinning workers (Timely)
+  additionally report part of their idle time as busy.
 
 Everything is deterministic in ``(dag, parallelism, rates, seed)``.
 """
@@ -67,14 +65,33 @@ KAPPA: dict[str, float] = {
     "sink": 0.0,
 }
 
-#: Factor by which Timely's per-instance base rates exceed Flink's.
-TIMELY_SPEEDUP = 40.0  # native Rust workers vs JVM task slots
 
-#: Fraction of Flink backpressured time above which an operator is
-#: *detected* as backpressured (paper §V-B).
-FLINK_BP_DETECT = 0.10
-#: Timely bottleneck rule: PA below this fraction of offered input.
-TIMELY_DEFICIT = 0.85
+@dataclass(frozen=True)
+class SystemProfile:
+    """The facts in which the simulated engines differ (paper §V-B);
+    DESIGN.md §4 lists the rules that read each field."""
+
+    #: Factor on per-instance base rates (native Rust workers vs JVM slots).
+    speedup: float
+    #: Maximum parallelism per operator (paper: 100 Flink slots; Timely
+    #: runs a handful of native workers).
+    p_max: int
+    #: True: sources throttle, detection is by backpressured time, and the
+    #: backpressure monitor triggers a tuner. False: queues absorb the
+    #: excess, detection is by deficit, and there is no trigger signal.
+    backpressure: bool
+    #: Backpressured-time fraction above which an operator is detected;
+    #: without backpressure, PA below this share of its offered input.
+    detect: float
+    #: Fraction of idle time that spinning workers report as busy.
+    spin: float
+
+
+PROFILES: dict[str, SystemProfile] = {
+    "flink": SystemProfile(speedup=1.0, p_max=100, backpressure=True, detect=0.10, spin=0.0),
+    "timely": SystemProfile(speedup=40.0, p_max=12, backpressure=False, detect=0.85, spin=0.85),
+}
+
 #: Std-dev of the multiplicative noise on observed busy/CPU fractions.
 BUSY_NOISE_STD = 0.03
 #: Parameters of the per-(job, operator) *systematic* useful-time
@@ -109,8 +126,6 @@ def useful_time_bias(dag_name: str, op) -> float:
     return float(np.clip(rng.normal(mean, sd), lo, hi))
 #: Deployment-level jitter on true operator rates (system variance).
 RATE_JITTER_STD = 0.015
-#: Fraction of idle time that Timely's spinning workers report as busy.
-TIMELY_SPIN = 0.85
 
 
 def unit_rate(op, system: str = "flink") -> float:
@@ -122,8 +137,7 @@ def unit_rate(op, system: str = "flink") -> float:
     r = BASE_RATE[op.op_type]
     if not np.isfinite(r):
         return r
-    if system == "timely":
-        r *= TIMELY_SPEEDUP
+    r *= PROFILES[system].speedup
     r /= max(0.001, op.tuple_width_in)  # width = relative per-record cost
     if op.window_type != "none":
         if op.window_policy == "time":
@@ -161,7 +175,7 @@ class OpMetrics:
     backpressured: float  # true backpressured-time fraction
     idle: float
     is_bottleneck_cause: bool  # offered input exceeds PA
-    under_backpressure: bool  # detected (Flink 10 % rule / Timely 85 % rule)
+    under_backpressure: bool  # detected by the engine's SystemProfile rule
     observed_busy: float  # noisy measurement the tuners see
     observed_cpu: float
     observed_rate: float
@@ -195,8 +209,9 @@ def simulate(
 ) -> SimResult:
     """Deploy ``dag`` with ``parallelism`` under ``source_rates`` and
     return steady-state metrics. Pure and deterministic."""
-    if system not in ("flink", "timely"):
+    if system not in PROFILES:
         raise ValueError(f"unknown system {system!r}")
+    profile = PROFILES[system]
     missing = set(dag.sources.values()) - set(source_rates)
     if missing:
         raise ValueError(f"missing source rates for {sorted(missing)}")
@@ -225,7 +240,7 @@ def simulate(
     }
 
     alpha = 1.0
-    if system == "flink" and causes:
+    if profile.backpressure and causes:
         # Global source throttle α so the binding bottleneck runs at PA.
         alpha = float(min(1.0, min(pa[oid] / inp[oid] for oid in causes if inp[oid] > 0)))
 
@@ -246,15 +261,15 @@ def simulate(
         p = parallelism.get(oid, 1)
         cap = pa[oid]
         busy = 0.0 if not np.isfinite(cap) or cap <= 0 else min(1.0, inp_t[oid] / cap)
-        # α = 1 (always so on Timely) leaves no backpressured time.
+        # α = 1 (always so without backpressure) leaves no backpressured time.
         bp_frac = min((1.0 - alpha) if oid in bp_ancestors else 0.0, 1.0 - busy)
         idle = max(0.0, 1.0 - busy - bp_frac)
-        if system == "flink":
-            detected = bp_frac > FLINK_BP_DETECT
+        if profile.backpressure:
+            detected = bp_frac > profile.detect
             obs_busy = busy * (1.0 + useful_time_bias(dag.name, op))
         else:
-            detected = np.isfinite(cap) and cap < TIMELY_DEFICIT * inp_t[oid]
-            obs_busy = busy + TIMELY_SPIN * idle  # spinning looks busy
+            detected = np.isfinite(cap) and cap < profile.detect * inp_t[oid]
+            obs_busy = busy + profile.spin * idle  # spinning looks busy
         obs_busy = float(np.clip(obs_busy * (1.0 + rng.normal(0, BUSY_NOISE_STD)), 1e-6, 1.0))
         obs_cpu = float(np.clip(busy * (1.0 + rng.normal(0, BUSY_NOISE_STD)), 0.0, 1.0))
         obs_rate = float(processed_t[oid] * (1.0 + rng.normal(0, 0.01)))

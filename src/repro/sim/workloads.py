@@ -38,10 +38,6 @@ SOURCE_RATE_UNITS: dict[tuple[str, str], dict[str, float]] = {
     ("pqp_3way", "flink"): {"pqp": 250},
 }
 
-#: Physical maximum parallelism per operator (paper: 100 slots on Flink;
-#: Timely runs a handful of native workers).
-P_MAX = {"flink": 100, "timely": 12}
-
 
 @dataclass
 class Workload:
@@ -59,7 +55,7 @@ class Workload:
 
     @property
     def p_max(self) -> int:
-        return P_MAX[self.system]
+        return engine.PROFILES[self.system].p_max
 
 
 def _fit_widths(
@@ -277,10 +273,8 @@ def _jit(rng: np.random.Generator, x: float) -> float:
     return float(x * rng.uniform(0.7, 1.3))
 
 
-def pqp_catalogue(system: str = "flink") -> dict[str, Workload]:
+def pqp_catalogue() -> dict[str, Workload]:
     """The 56 PQP query templates of §V-A (Flink-only in the paper)."""
-    if system != "flink":
-        raise ValueError("PQP queries are evaluated on Flink only (Table II)")
     cat: dict[str, Workload] = {}
     for i in range(8):  # Linear
         rng = np.random.default_rng(1000 + i)
@@ -304,7 +298,7 @@ def pqp_catalogue(system: str = "flink") -> dict[str, Workload]:
             "filter2": _jit(rng, 5.0),
             "wagg": _jit(rng, 10.0),
         }
-        cat[name] = _mk(name, ops, edges, {"src": "pqp"}, ratios, system, "pqp_linear", "pqp_linear")
+        cat[name] = _mk(name, ops, edges, {"src": "pqp"}, ratios, "flink", "pqp_linear", "pqp_linear")
     for i in range(16):  # 2-way joins
         rng = np.random.default_rng(2000 + i)
         wt, wp, wl, sl = _WINDOWS[i % 4]
@@ -337,7 +331,7 @@ def pqp_catalogue(system: str = "flink") -> dict[str, Workload]:
             "wjoin": _jit(rng, 8.0),
             "agg": _jit(rng, 7.0),
         }
-        cat[name] = _mk(name, ops, edges, {"src1": "pqp", "src2": "pqp"}, ratios, system, "pqp_2way", "pqp_2way")
+        cat[name] = _mk(name, ops, edges, {"src1": "pqp", "src2": "pqp"}, ratios, "flink", "pqp_2way", "pqp_2way")
     for i in range(32):  # 3-way joins
         rng = np.random.default_rng(3000 + i)
         wt, wp, wl, sl = _WINDOWS[i % 4]
@@ -383,15 +377,15 @@ def pqp_catalogue(system: str = "flink") -> dict[str, Workload]:
         cat[name] = _mk(
             name, ops, edges,
             {"src1": "pqp", "src2": "pqp", "src3": "pqp"},
-            ratios, system, "pqp_3way", "pqp_3way",
+            ratios, "flink", "pqp_3way", "pqp_3way",
         )
     return cat
 
 
 def full_catalogue(system: str = "flink") -> dict[str, Workload]:
     cat = nexmark_catalogue(system)
-    if system == "flink":
-        cat |= pqp_catalogue(system)
+    if ("pqp_linear", system) in SOURCE_RATE_UNITS:  # Table II: PQP on Flink only
+        cat |= pqp_catalogue()
     return cat
 
 

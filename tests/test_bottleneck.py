@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core import bottleneck
-from repro.core.bottleneck import CPU_THRESHOLD, UNLABELLED, label_operators
+from repro.core.bottleneck import CPU_THRESHOLD, UNLABELLED, label_operators, saturated_ops
 from repro.graphs.dag import DataflowDAG, Operator
 from repro.sim.engine import simulate, unit_rate
 
@@ -85,6 +85,29 @@ class TestChainCascade:
         labels = label_operators(dag, res)
         assert labels["b"] == 1
         assert labels["a"] == UNLABELLED  # backpressured, not examined
+
+
+class TestTimelyDeficit:
+    def test_deficit_operator_labelled_and_descendants_unlabelled(self):
+        """Timely: the operator whose PA is below 85 % of its input is the
+        bottleneck (1), its descendants see distorted input (−1), every
+        other operator is sufficient (0); no throttle, so no augmentation."""
+        dag = DataflowDAG(
+            "chain",
+            [
+                Operator("src", "source"),
+                Operator("f", "filter"),
+                Operator("m", "map"),
+                Operator("k", "sink"),
+            ],
+            [("src", "f"), ("f", "m"), ("m", "k")],
+            {"src": "in"},
+        )
+        rate = unit_rate(dag.op("m"), "timely") * 6
+        res = simulate(dag, {"f": 12, "m": 1}, {"in": rate}, system="timely", seed=0)
+        assert res.job_backpressure
+        assert label_operators(dag, res) == {"src": 0, "f": 0, "m": 1, "k": UNLABELLED}
+        assert saturated_ops(dag, res) == set()
 
 
 class TestHelpers:

@@ -7,8 +7,7 @@ import pytest
 
 from repro.graphs.dag import DataflowDAG, Operator
 from repro.sim.engine import (
-    FLINK_BP_DETECT,
-    TIMELY_DEFICIT,
+    PROFILES,
     epoch_latencies,
     processing_ability,
     simulate,
@@ -119,9 +118,9 @@ class TestSimulateFlink:
         detected as backpressure — the paper's Flink rule."""
         dag = _chain()
         op = dag.op("f")
-        rate = processing_ability(op, 10) * (1.0 + FLINK_BP_DETECT / 2)
+        rate = processing_ability(op, 10) * (1.0 + PROFILES["flink"].detect / 2)
         res = simulate(dag, {"f": 10, "m": 100}, {"in": rate}, seed=2)
-        if res.throttle > 1.0 - FLINK_BP_DETECT:  # inside grace region
+        if res.throttle > 1.0 - PROFILES["flink"].detect:  # inside grace region
             assert not res.job_backpressure
 
     def test_selectivity_propagates(self):
@@ -236,7 +235,7 @@ class TestSimulateTimely:
         rate = unit_rate(dag.op("m"), "timely") * 6
         res = simulate(dag, {"f": 12, "m": 1}, {"in": rate}, system="timely", seed=0)
         upstream_out = sum(res.metrics[u].output_rate for u in dag.upstream("m"))
-        assert res.metrics["m"].processed_rate < TIMELY_DEFICIT * upstream_out
+        assert res.metrics["m"].processed_rate < PROFILES["timely"].detect * upstream_out
         assert res.metrics["m"].under_backpressure
         assert not res.metrics["f"].under_backpressure
         assert res.job_backpressure

@@ -12,8 +12,8 @@ import pytest
 
 from repro.baselines.ds2 import target_rates
 from repro.core.features import FeatureEncoder, upstream_rates
-from repro.sim.engine import simulate
-from repro.sim.workloads import P_MAX, full_catalogue
+from repro.sim.engine import PROFILES, simulate
+from repro.sim.workloads import full_catalogue
 
 SYSTEMS = ("flink", "timely")
 MULTIPLIERS = (1, 10)
@@ -33,7 +33,7 @@ def digests(system: str) -> dict[str, dict[str, str]]:
     cat = full_catalogue(system)
     enc = FeatureEncoder().fit(
         [(wl.dag, wl.rates(m)) for wl in cat.values() for m in range(1, 11)],
-        p_max=P_MAX[system],
+        p_max=PROFILES[system].p_max,
     )
     out: dict[str, dict[str, str]] = {}
     for name, wl in cat.items():

@@ -6,8 +6,10 @@ modules they import: absolute, relative and function-local imports, plus
 the ``"repro.x:fn"`` target strings that perfbench resolves at run time.
 A module that only ``tests/`` import is either wired into the program or
 deleted; this test makes ``pytest tests/`` fail first. The same parse
-also checks that the tuners reach the engine through one path, and that
-no module but ``graphs/dag.py`` changes a DAG after it is built.
+also checks that the tuners reach the engine through one path, that no
+module but ``graphs/dag.py`` changes a DAG after it is built, that no
+module branches on an engine's name, and that the tuners read no
+simulator ground truth beyond today's pinned set.
 """
 import ast
 import re
@@ -163,3 +165,105 @@ ok = dag.edges[0] + list(dag.sources)
 dag.other.append(1)
 """
     assert _dag_field_writes(ast.parse(src)) == list(range(2, 11))
+
+
+#: Engine names, which only ``sim.engine.PROFILES`` may key on.
+_ENGINES = {"flink", "timely"}
+
+
+def _engine_name_tests(tree) -> list[int]:
+    """Lines of ``tree`` that compare a value with an engine name."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(x, ast.Constant) and x.value in _ENGINES
+            for x in (node.left, *node.comparators)
+        )
+    )
+
+
+def test_no_module_branches_on_an_engine_name():
+    # Every difference between the engines is a field of its
+    # ``SystemProfile``; a rule that tests the name instead would be a
+    # second place that knows it.
+    hits = {
+        _module_name(p, _SRC): lines
+        for p in (_SRC / "repro").rglob("*.py")
+        if (lines := _engine_name_tests(ast.parse(p.read_text())))
+    }
+    assert not hits, f"branch on an engine name, read its SystemProfile instead: {hits}"
+
+
+def test_engine_name_scan_sees_comparisons():
+    src = """
+if system == "flink": pass
+ok = "timely" != wl.system
+assert "flink" < name
+PROFILES = {"flink": 1, "timely": 2}
+cat = full_catalogue("flink")
+same = system == other
+"""
+    assert _engine_name_tests(ast.parse(src)) == [2, 3, 4]
+
+
+#: Simulator ground truth on ``OpMetrics``: values no real Flink or
+#: Timely job exposes to a tuner.
+_GROUND_TRUTH = {
+    "busy", "backpressured", "idle", "is_bottleneck_cause", "pa",
+    "input_rate", "processed_rate", "output_rate",
+}
+
+
+def _ground_truth_reads(tree, module: str) -> set[tuple[str, str, str]]:
+    """``(module, innermost function, field)`` for every load of a
+    ground-truth field in ``tree``."""
+    out: set[tuple[str, str, str]] = set()
+
+    def visit(node, fn: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in _GROUND_TRUTH
+        ):
+            out.add((module, fn, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_tuners_read_only_todays_ground_truth():
+    # ROADMAP item 2 splits what a real DSPS exposes (an Observation) from
+    # the simulator's ground truth; until then these are the only reads of
+    # ground truth by the tuners and Algorithm 1, and no new one may join
+    # them. The Observation split empties this set.
+    repro = _SRC / "repro"
+    paths = [repro / "core" / "tuner.py", repro / "core" / "bottleneck.py",
+             *sorted((repro / "baselines").glob("*.py"))]
+    reads = set().union(*(_ground_truth_reads(ast.parse(p.read_text()), p.stem) for p in paths))
+    assert reads == {
+        ("tuner", "at_edge", "busy"),
+        ("tuner", "harden", "busy"),
+        ("tuner", "harden", "is_bottleneck_cause"),
+        ("ds2", "target_rates", "output_rate"),
+        ("ds2", "target_rates", "processed_rate"),
+    }
+
+
+def test_ground_truth_scan_sees_reads():
+    src = """
+def f(res):
+    def g(m):
+        return m.busy > 0.9 or m.observed_busy
+    m.pa = 1.0
+    return [m.input_rate for m in res.metrics.values()]
+x = r.idle
+"""
+    assert _ground_truth_reads(ast.parse(src), "mod") == {
+        ("mod", "g", "busy"), ("mod", "f", "input_rate"), ("mod", "<module>", "idle"),
+    }

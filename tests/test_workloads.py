@@ -1,9 +1,8 @@
 """Tests for the Nexmark/PQP workload catalogue and Table II units."""
 import pytest
 
-from repro.sim.engine import processing_ability, simulate
+from repro.sim.engine import PROFILES, processing_ability, simulate
 from repro.sim.workloads import (
-    P_MAX,
     SOURCE_RATE_UNITS,
     Workload,
     full_catalogue,
@@ -35,7 +34,7 @@ class TestTable2:
         assert SOURCE_RATE_UNITS == _PAPER_TABLE2
 
     def test_p_max_flink_is_100(self):
-        assert P_MAX["flink"] == 100  # 50 TaskManagers × 2 slots
+        assert PROFILES["flink"].p_max == 100  # 50 TaskManagers × 2 slots
 
 
 class TestCatalogue:
@@ -45,16 +44,12 @@ class TestCatalogue:
         }
 
     def test_pqp_template_counts(self):
-        cat = pqp_catalogue("flink")
+        cat = pqp_catalogue()
         groups = pqp_groups()
         assert len(groups["pqp_linear"]) == 8
         assert len(groups["pqp_2way"]) == 16
         assert len(groups["pqp_3way"]) == 32
         assert set(cat) == set(sum(groups.values(), []))
-
-    def test_pqp_flink_only(self):
-        with pytest.raises(ValueError, match="Flink only"):
-            pqp_catalogue("timely")
 
     def test_full_catalogue_sizes(self):
         assert len(full_catalogue("flink")) == 61
@@ -78,7 +73,7 @@ class TestCatalogue:
         assert wl.dag.op("wjoin").window_type == "tumbling"
 
     def test_pqp_templates_structurally_distinct_groups(self):
-        cat = pqp_catalogue("flink")
+        cat = pqp_catalogue()
         lin = cat["pqp_linear_0"].dag
         two = cat["pqp_2way_0"].dag
         three = cat["pqp_3way_0"].dag
@@ -87,7 +82,7 @@ class TestCatalogue:
         assert len(three.sources) == 3
 
     def test_pqp_templates_vary_within_group(self):
-        cat = pqp_catalogue("flink")
+        cat = pqp_catalogue()
         w0 = cat["pqp_2way_0"].dag.op("wjoin")
         w1 = cat["pqp_2way_1"].dag.op("wjoin")
         assert (w0.window_type, w0.window_policy, w0.tuple_width_in) != (

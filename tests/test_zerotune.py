@@ -11,7 +11,7 @@ from repro.sim.workloads import pqp_catalogue
 
 @pytest.fixture(scope="module")
 def setup():
-    cat = pqp_catalogue("flink")
+    cat = pqp_catalogue()
     wls = [cat["pqp_linear_0"], cat["pqp_2way_0"]]
     hist = generate_history_local(wls, n_per_workload=120, seed=9)
     bundle = pretrain_global(hist, epochs=20, seed=0)
