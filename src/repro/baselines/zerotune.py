@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.features import FeatureEncoder, adjacency
 from repro.core.gnn import GNN, GraphSample
-from repro.core.pretrain import parse_dags, record_to_sample
+from repro.core.pretrain import record_to_sample
 from repro.core.tuner import Deployer, TuneProcessResult, TuningProcess
 from repro.graphs.dag import DataflowDAG
 from repro.history import HistoryRecord
@@ -44,10 +44,9 @@ class ZeroTuneCostModel:
         )
 
     def fit(self, records: list[HistoryRecord], *, epochs: int = 60, seed: int = 0) -> "ZeroTuneCostModel":
-        parsed = parse_dags(records)
         samples = []
         for rec in records:
-            s = record_to_sample(rec, self.fe, parsed[rec.dag_json])
+            s = record_to_sample(rec, self.fe)
             samples.append(
                 GraphSample(
                     x=_augment(s.x, s.p),

@@ -27,17 +27,11 @@ TAU = 5.0
 DIM = 32
 
 
-def parse_dags(records: list[HistoryRecord]) -> dict[str, DataflowDAG]:
-    """Each distinct DAG string of ``records``, parsed once (the records
-    of one job share it)."""
-    return {j: DataflowDAG.from_json(j) for j in {r.dag_json for r in records}}
-
-
-def record_to_sample(rec: HistoryRecord, fe: FeatureEncoder, dag: DataflowDAG) -> GraphSample:
-    """Encode one historical deployment of ``dag`` (its parsed
-    ``rec.dag_json``) as a GNN training sample."""
-    order, x = fe.encode_dag(dag, rec.rates)
-    a_in, a_out = adjacency(dag, order)
+def record_to_sample(rec: HistoryRecord, fe: FeatureEncoder) -> GraphSample:
+    """Encode one historical deployment of ``rec.dag`` as a GNN training
+    sample."""
+    order, x = fe.encode_dag(rec.dag, rec.rates)
+    a_in, a_out = adjacency(rec.dag, order)
     p = fe.scale_parallelism([rec.parallelism.get(o, 1) for o in order])
     y = np.array([rec.labels.get(o, -1) for o in order], dtype=int)
     return GraphSample(x=x, a_in=a_in, a_out=a_out, p=p, y_node=y)
@@ -88,15 +82,13 @@ class PretrainedBundle:
         recs = self.cluster_records[cluster]
         enc = self.encoders[cluster]
         fe = self.feature_encoder
-        parsed = parse_dags(recs)
         rng = np.random.default_rng(seed)
         # The records in permutation order until max_points labelled
         # operators are reached, embedded one stack per node count.
         samples: list[GraphSample] = []
         n_lab = 0
         for i in rng.permutation(len(recs)):
-            rec = recs[int(i)]
-            samples.append(record_to_sample(rec, fe, parsed[rec.dag_json]))
+            samples.append(record_to_sample(recs[int(i)], fe))
             n_lab += int((samples[-1].y_node >= 0).sum())
             if n_lab >= max_points:
                 break
@@ -147,11 +139,8 @@ def pretrain(
     systems = sorted({r.system for r in records})
     if len(systems) > 1:
         raise ValueError(f"history mixes engines {systems}; pre-train one bundle per engine")
-    parsed = parse_dags(records)
-    dags = [parsed[r.dag_json] for r in records]
-    fe = FeatureEncoder().fit(
-        [(dag, r.rates) for dag, r in zip(dags, records)], p_max=PROFILES[systems[0]].p_max
-    )
+    dags = [r.dag for r in records]
+    fe = FeatureEncoder().fit([(r.dag, r.rates) for r in records], p_max=PROFILES[systems[0]].p_max)
     # One GED memo for the whole clustering: the elbow's k-means runs, the
     # final one and their similarity centers meet the same pairs again.
     memo = GEDCache()
@@ -172,7 +161,7 @@ def pretrain(
     encoders: list[GNN] = []
     accs: list[float] = []
     for c in range(k):
-        samples = [record_to_sample(r, fe, parsed[r.dag_json]) for r in cluster_records[c]]
+        samples = [record_to_sample(r, fe) for r in cluster_records[c]]
         gnn = GNN(d_in=fe.dim, dim=DIM, use_fuse=True, head="node_binary", seed=seed + c)
         labelled = [s for s in samples if (s.y_node >= 0).any()]
         if labelled:

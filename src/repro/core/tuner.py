@@ -74,10 +74,6 @@ class TuneProcessResult:
     converged: bool = True
 
     @property
-    def total_parallelism(self) -> int:
-        return int(sum(self.final_parallelism.values()))
-
-    @property
     def tuning_minutes(self) -> float:
         """Virtual tuning time: one stabilisation wait per reconfiguration."""
         return self.n_reconfigs * STABILISATION_MINUTES

@@ -34,7 +34,6 @@ class ClusteringResult:
     centers: list[DataflowDAG]
     assignments: list[int]
     inertia: float  # total GED to assigned centers
-    n_iter: int
 
 
 def _assign_local(
@@ -119,8 +118,7 @@ def kmeans_ged(
     centers = [graphs[pool[int(j)]] for j in picks]
     assign: list[int] = []  # cluster of each distinct structure
     inertia = 0.0
-    it = 0
-    for it in range(1, MAX_ITER + 1):
+    for _ in range(MAX_ITER):
         if spark is not None:
             new_assign, inertia = assign_with_spark(
                 spark, reps, centers, counts=counts, memo=memo
@@ -147,7 +145,7 @@ def kmeans_ged(
         ):
             break
         centers = new_centers
-    return ClusteringResult(centers, [assign[j] for j in of], float(inertia), it)
+    return ClusteringResult(centers, [assign[j] for j in of], float(inertia))
 
 
 def elbow_k(

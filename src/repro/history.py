@@ -2,14 +2,17 @@
 
 Real DSPS deployments accumulate histories of (dataflow DAG, source
 rates, parallelism degrees) → per-operator metrics. We generate them by
-fanning simulator deployments out over Spark with ``mapInPandas`` — one
-row per historical deployment, labelled with Algorithm 1 — exactly the
-kind of embarrassingly parallel sweep Spark is good at. The config table
-is not shuffled: ``createDataFrame`` already slices it into one
-contiguous partition per default-parallelism core, and a round-robin
-repartition on top cost more than the simulations themselves. So the
-Spark sweep returns the records in config order, the same list the
-pure-local generator (small unit tests, small sweeps) returns.
+fanning simulator deployments out over Spark with ``mapInPandas`` —
+exactly the kind of embarrassingly parallel sweep Spark is good at. A
+record holds its workload's own :class:`DataflowDAG`; the DAG's JSON form
+is only the wire format of that fan-out, one string per workload. The
+Spark worker returns each config's Algorithm 1 labels and job latency,
+and the driver builds the records from its own configs, in config order:
+the same list the pure-local generator (small unit tests, small sweeps)
+returns. The config table is not shuffled: ``createDataFrame`` already
+slices it into one contiguous partition per default-parallelism core,
+and a round-robin repartition on top cost more than the simulations
+themselves.
 
 Per the paper: source rates are drawn from (1·W_u, 10·W_u) and are
 disjoint from the integer multipliers used during tuning; parallelism
@@ -24,7 +27,8 @@ import numpy as np
 import pandas as pd
 
 from repro.core.bottleneck import label_operators, saturated_ops
-from repro.sim.engine import peak_utilisation, simulate
+from repro.graphs.dag import DataflowDAG
+from repro.sim.engine import base_latency, peak_utilisation, simulate
 from repro.sim.source_rates import pretrain_rates
 from repro.sim.workloads import Workload
 
@@ -38,7 +42,7 @@ class HistoryRecord:
     """One historical deployment with Algorithm 1 labels."""
 
     job: str
-    dag_json: str
+    dag: DataflowDAG
     system: str
     rates: dict[str, float]
     parallelism: dict[str, int]
@@ -48,7 +52,7 @@ class HistoryRecord:
     def to_row(self) -> dict:
         return {
             "job": self.job,
-            "dag_json": self.dag_json,
+            "dag_json": self.dag.to_json(),
             "system": self.system,
             "rates_json": json.dumps(self.rates),
             "par_json": json.dumps(self.parallelism),
@@ -56,24 +60,12 @@ class HistoryRecord:
             "job_latency": self.job_latency,
         }
 
-    @staticmethod
-    def from_row(row) -> "HistoryRecord":
-        return HistoryRecord(
-            job=row["job"],
-            dag_json=row["dag_json"],
-            system=row["system"],
-            rates=json.loads(row["rates_json"]),
-            parallelism={k: int(v) for k, v in json.loads(row["par_json"]).items()},
-            labels={k: int(v) for k, v in json.loads(row["labels_json"]).items()},
-            job_latency=float(row["job_latency"]),
-        )
-
 
 def job_latency_proxy(result) -> float:
     """Job-level cost: dominated by the hottest operator's utilisation;
     grows steeply past saturation (queueing). ZeroTune regresses this."""
     rho = peak_utilisation(result)
-    base = 0.05 + 0.25 * rho
+    base = base_latency(rho)
     if rho > 1.0:
         base += 5.0 * (rho - 1.0)
     return float(base)
@@ -81,15 +73,12 @@ def job_latency_proxy(result) -> float:
 
 def _deploy_and_label(
     workload_name: str,
-    dag_json: str,
+    dag: DataflowDAG,
     system: str,
     rates: dict[str, float],
     parallelism: dict[str, int],
     seed: int,
 ) -> HistoryRecord:
-    from repro.graphs.dag import DataflowDAG
-
-    dag = DataflowDAG.from_json(dag_json)
     res = simulate(dag, parallelism, rates, system=system, seed=seed)
     labels = label_operators(dag, res)
     # Near-boundary positives densify exactly the region the fine-tuned
@@ -98,7 +87,7 @@ def _deploy_and_label(
         labels[oid] = 1
     return HistoryRecord(
         job=workload_name,
-        dag_json=dag_json,
+        dag=dag,
         system=system,
         rates=rates,
         parallelism=parallelism,
@@ -109,7 +98,7 @@ def _deploy_and_label(
 
 def _configs(
     workloads: list[Workload], n_per_workload: int, seed: int
-) -> list[tuple[str, str, str, dict[str, float], dict[str, int], int]]:
+) -> list[tuple[str, DataflowDAG, str, dict[str, float], dict[str, int], int]]:
     cfgs = []
     for w_i, wl in enumerate(workloads):
         mults = pretrain_rates(n_per_workload, seed=seed + 17 * w_i)
@@ -124,9 +113,7 @@ def _configs(
                 )
                 for oid in wl.dag.tunable_operators()
             }
-            cfgs.append(
-                (wl.name, wl.dag.to_json(), wl.system, wl.rates(mult), par, seed + j)
-            )
+            cfgs.append((wl.name, wl.dag, wl.system, wl.rates(mult), par, seed + j))
     return cfgs
 
 
@@ -145,41 +132,51 @@ def generate_history(
     seed: int = 11,
 ) -> list[HistoryRecord]:
     """Spark-parallel history generation: the config sweep is distributed
-    with ``mapInPandas``; results come back as one row per deployment, in
-    config order (equal to :func:`generate_history_local`)."""
+    with ``mapInPandas``, each worker returning the labels and job latency
+    of its configs; the records come back in config order (equal to
+    :func:`generate_history_local`)."""
     cfgs = _configs(workloads, n_per_workload, seed)
+    wire = {id(wl.dag): wl.dag.to_json() for wl in workloads}
     pdf = pd.DataFrame(
         [
             {
+                "i": i,
                 "job": c[0],
-                "dag_json": c[1],
+                "dag_json": wire[id(c[1])],
                 "system": c[2],
                 "rates_json": json.dumps(c[3]),
                 "par_json": json.dumps(c[4]),
                 "seed": c[5],
             }
-            for c in cfgs
+            for i, c in enumerate(cfgs)
         ]
-    )
-    schema = (
-        "job string, dag_json string, system string, rates_json string, par_json string, "
-        "labels_json string, job_latency double"
     )
 
     def _run(batches):
         for b in batches:
-            rows = []
-            for r in b.itertuples():
-                rec = _deploy_and_label(
+            dags = {s: DataflowDAG.from_json(s) for s in set(b["dag_json"])}
+            recs = [
+                _deploy_and_label(
                     r.job,
-                    r.dag_json,
+                    dags[r.dag_json],
                     r.system,
                     json.loads(r.rates_json),
                     {k: int(v) for k, v in json.loads(r.par_json).items()},
                     int(r.seed),
                 )
-                rows.append(rec.to_row())
-            yield pd.DataFrame(rows)
+                for r in b.itertuples()
+            ]
+            yield pd.DataFrame(
+                {
+                    "i": b["i"].to_numpy(),
+                    "labels_json": [json.dumps(r.labels) for r in recs],
+                    "job_latency": [r.job_latency for r in recs],
+                }
+            )
 
-    out = spark.createDataFrame(pdf).mapInPandas(_run, schema=schema).toPandas()
-    return [HistoryRecord.from_row(row) for _, row in out.iterrows()]
+    schema = "i long, labels_json string, job_latency double"
+    out = spark.createDataFrame(pdf).mapInPandas(_run, schema=schema).toPandas().sort_values("i")
+    return [
+        HistoryRecord(*cfgs[i][:5], {k: int(v) for k, v in json.loads(lj).items()}, float(lat))
+        for i, lj, lat in zip(out["i"], out["labels_json"], out["job_latency"])
+    ]

@@ -311,6 +311,13 @@ def peak_utilisation(result: SimResult) -> float:
     )
 
 
+def base_latency(rho: float) -> float:
+    """Latency (s) of a job whose hottest operator runs at utilisation ρ,
+    before any queueing: the one latency model of the history's job cost
+    and of the Timely epochs."""
+    return 0.05 + 0.25 * rho
+
+
 def epoch_latencies(
     dag: DataflowDAG,
     parallelism: dict[str, int],
@@ -328,7 +335,7 @@ def epoch_latencies(
     """
     rho = peak_utilisation(simulate(dag, parallelism, source_rates, system="timely", seed=seed))
     rng = _rng_for(dag, parallelism, source_rates, seed + 1)
-    base = 0.05 + 0.25 * rho
+    base = base_latency(rho)
     lat = np.empty(n_epochs)
     backlog = 0.0
     for e in range(n_epochs):

@@ -68,7 +68,6 @@ class EvalRun:
 
     config: EvalConfig
     bundle: PretrainedBundle
-    history: list[HistoryRecord]
     #: method → column → list of per-query PatternRunStats
     stats: dict[str, dict[str, list[PatternRunStats]]] = field(default_factory=dict)
     jobs_per_column: dict[str, int] = field(default_factory=dict)
@@ -102,12 +101,7 @@ def run_flink_evaluation(
     eval_names = sorted({n for names in jobs.values() for n in names})
     workloads = [cat[n] for n in eval_names]
     history = _history(spark, workloads, cfg.history_per_workload, seed=11)
-    if cfg.k_clusters == 1:
-        bundle = pretrain_global(history, epochs=cfg.pretrain_epochs, seed=0)
-    else:
-        bundle = pretrain(
-            history, k=cfg.k_clusters, epochs=cfg.pretrain_epochs, seed=0, spark=spark
-        )
+    bundle = pretrain(history, k=cfg.k_clusters, epochs=cfg.pretrain_epochs, seed=0, spark=spark)
     pqp_hist = [r for r in history if r.job.startswith("pqp")]
     zt_model = None
     if pqp_hist:
@@ -116,7 +110,7 @@ def run_flink_evaluation(
         )
 
     pattern = periodic_pattern(n_permutations=cfg.pattern_perms, seed=7)
-    run = EvalRun(config=cfg, bundle=bundle, history=history)
+    run = EvalRun(config=cfg, bundle=bundle)
     groups = pqp_groups()
     run.group_sizes = {c: len(groups[g]) for c, g in _PQP_BY_COL.items()} | {
         c: 1 for c in _NEXMARK_BY_COL

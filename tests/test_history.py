@@ -2,7 +2,6 @@
 import pytest
 
 from repro.history import (
-    HistoryRecord,
     generate_history,
     generate_history_local,
     job_latency_proxy,
@@ -49,10 +48,10 @@ class TestLocalGeneration:
         b = generate_history_local(workloads, n_per_workload=5, seed=2)
         assert [r.to_row() for r in a] == [r.to_row() for r in b]
 
-    def test_row_roundtrip(self, workloads):
-        rec = generate_history_local(workloads, n_per_workload=2, seed=3)[0]
-        back = HistoryRecord.from_row(rec.to_row())
-        assert back == rec
+    def test_records_carry_the_workloads_dag(self, workloads):
+        recs = generate_history_local(workloads, n_per_workload=3, seed=3)
+        by_name = {wl.name: wl for wl in workloads}
+        assert all(rec.dag is by_name[rec.job].dag for rec in recs)
 
 
 class TestSparkGeneration:
@@ -63,6 +62,7 @@ class TestSparkGeneration:
         local = generate_history_local(workloads, n_per_workload=8, seed=4)
         dist = generate_history(spark, workloads, n_per_workload=8, seed=4)
         assert [r.to_row() for r in dist] == [r.to_row() for r in local]
+        assert dist == local
 
 
 class TestLatencyProxy:

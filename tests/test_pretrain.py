@@ -15,7 +15,6 @@ from repro.core.pretrain import (
     pretrain_global,
     record_to_sample,
 )
-from repro.graphs.dag import DataflowDAG
 from repro.history import generate_history_local
 from repro.sim.workloads import full_catalogue
 
@@ -35,7 +34,7 @@ def bundle(history):
 class TestRecordToSample:
     def test_shapes(self, history, bundle):
         rec = history[0]
-        s = record_to_sample(rec, bundle.feature_encoder, DataflowDAG.from_json(rec.dag_json))
+        s = record_to_sample(rec, bundle.feature_encoder)
         n = len(s.p)
         assert s.x.shape[0] == n
         assert s.a_in.shape == (n, n)

@@ -7,9 +7,10 @@ the ``"repro.x:fn"`` target strings that perfbench resolves at run time.
 A module that only ``tests/`` import is either wired into the program or
 deleted; this test makes ``pytest tests/`` fail first. The same parse
 also checks that the tuners reach the engine through one path, that no
-module but ``graphs/dag.py`` changes a DAG after it is built, that no
-module branches on an engine's name, and that the tuners read no
-simulator ground truth beyond today's pinned set.
+module but ``graphs/dag.py`` changes a DAG after it is built, that only
+the Spark fan-outs handle a DAG's JSON form, that no module branches on
+an engine's name, and that the tuners read no simulator ground truth
+beyond today's pinned set.
 """
 import ast
 import re
@@ -165,6 +166,64 @@ ok = dag.edges[0] + list(dag.sources)
 dag.other.append(1)
 """
     assert _dag_field_writes(ast.parse(src)) == list(range(2, 11))
+
+
+#: The Spark fan-outs, the only scopes outside ``graphs/dag.py`` that put
+#: a DAG on the wire or read one off it (their nested workers included).
+_WIRE_SITES = (
+    "repro.history.generate_history",
+    "repro.history.HistoryRecord.to_row",
+    "repro.graphs.clustering.assign_with_spark",
+)
+
+
+def _json_calls(tree, module: str) -> set[str]:
+    """Qualified scope (``module.Class.fn.inner``) of every ``.to_json(``
+    and ``.from_json(`` call in ``tree``."""
+    out: set[str] = set()
+
+    def visit(node, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+            "to_json", "from_json",
+        ):
+            out.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return out
+
+
+def test_only_the_spark_fanouts_handle_dag_json():
+    # History records carry their ``DataflowDAG``; JSON is only the wire
+    # format of the Spark fan-outs, so any other module parsing or dumping
+    # a DAG is a second copy of it (or a dump and re-parse per record).
+    own = _SRC / "repro" / "graphs" / "dag.py"
+    sites = set().union(*(
+        _json_calls(ast.parse(p.read_text()), _module_name(p, _SRC))
+        for p in (_SRC / "repro").rglob("*.py")
+        if p != own
+    ))
+    stray = sorted(
+        s for s in sites if not any(s == w or s.startswith(w + ".") for w in _WIRE_SITES)
+    )
+    assert not stray, f"DAG JSON outside the Spark fan-outs: {stray}"
+
+
+def test_json_call_scan_sees_calls():
+    src = """
+d = DataflowDAG.from_json(s)
+class R:
+    def to_row(self):
+        return {"dag_json": self.dag.to_json()}
+def outer():
+    def inner(b):
+        return [D.from_json(x) for x in b]
+    return json.dumps(x), to_json(y)
+"""
+    assert _json_calls(ast.parse(src), "m") == {"m", "m.R.to_row", "m.outer.inner"}
 
 
 #: Engine names, which only ``sim.engine.PROFILES`` may key on.

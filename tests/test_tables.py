@@ -33,7 +33,7 @@ def fake_run():
     cat = nexmark_catalogue("flink")
     hist = generate_history_local([cat["nexmark_q1"]], n_per_workload=10, seed=1)
     bundle = pretrain_global(hist, epochs=2, seed=0)
-    run = EvalRun(config=EvalConfig(), bundle=bundle, history=hist)
+    run = EvalRun(config=EvalConfig(), bundle=bundle)
     run.group_sizes = {c: 1 for c in QUERY_COLUMNS} | {"Linear": 8}
     run.jobs_per_column = {c: 1 for c in QUERY_COLUMNS} | {"Linear": 2}
     run.stats = {

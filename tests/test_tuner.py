@@ -1,9 +1,12 @@
 """Tests for the StreamTune online tuner (Algorithm 2)."""
+import hashlib
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.baselines.zerotune import ZeroTuneCostModel, ZeroTuneTuner
 from repro.core import tuner as tuner_mod
 from repro.core.pretrain import pretrain_global
 from repro.core.tuner import (
@@ -15,7 +18,8 @@ from repro.core.tuner import (
 )
 from repro.history import _deploy_and_label, generate_history_local
 from repro.sim.engine import processing_ability, simulate
-from repro.sim.workloads import nexmark_catalogue
+from repro.sim.source_rates import periodic_pattern
+from repro.sim.workloads import nexmark_catalogue, pqp_catalogue
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +75,7 @@ class TestSingleProcess:
         t = StreamTuneTuner(bundle, wl, model_kind="xgboost", seed=1)
         out = t.tune({o: 1 for o in wl.dag.tunable_operators()}, wl.rates(10))
         need = _true_need_total(wl, 10)
-        assert need <= out.total_parallelism <= int(2.0 * need)
+        assert need <= sum(out.final_parallelism.values()) <= int(2.0 * need)
 
     def test_memoised_rate_redeploys_fast(self, setup):
         cat, bundle = setup
@@ -90,7 +94,7 @@ class TestSingleProcess:
         t = StreamTuneTuner(bundle, wl, model_kind="xgboost", seed=1)
         hi = t.tune({o: 1 for o in wl.dag.tunable_operators()}, wl.rates(10))
         lo = t.tune(hi.final_parallelism, wl.rates(2))
-        assert lo.total_parallelism < hi.total_parallelism
+        assert sum(lo.final_parallelism.values()) < sum(hi.final_parallelism.values())
 
 
 class TestCrossRateTransfer:
@@ -139,7 +143,7 @@ class TestFeedback:
         res = simulate(wl.dag, par, rates, system="timely", seed=3)
         assert res.metrics["wagg"].observed_cpu > 0.98
         assert not res.job_backpressure
-        rec = _deploy_and_label(wl.name, wl.dag.to_json(), "timely", rates, par, 3)
+        rec = _deploy_and_label(wl.name, wl.dag, "timely", rates, par, 3)
         emb = t._embeddings(rates)
         n0 = len(t._y)
         t._collect_feedback(rates, res, emb)
@@ -230,3 +234,34 @@ class TestPattern:
         pattern = [3, 7, 4, 2, 1, 10, 8, 5, 6, 9]
         st = run_pattern(t, wl, pattern, method_name="st")
         assert st.total_backpressure <= 1
+
+
+def _bundle_digest(bundle) -> str:
+    """sha256 over everything a bundle hands the tuners: encoder
+    parameters, feature-encoder fields, centers and every record."""
+    h = hashlib.sha256()
+    for enc in bundle.encoders:
+        for name, v in sorted(enc.params.items()):
+            h.update(name.encode() + np.ascontiguousarray(v).tobytes())
+    h.update(repr(vars(bundle.feature_encoder)).encode())
+    for dag in bundle.centers:
+        h.update(dag.to_json().encode())
+    for recs in bundle.cluster_records:
+        for rec in recs:
+            h.update(json.dumps(rec.to_row()).encode())  # its DAG's JSON included
+    return h.hexdigest()
+
+
+def test_tuning_leaves_the_bundle_alone():
+    """History records share their DAG objects with the workloads the
+    tuners drive, so a tuner that changed a DAG, an encoder or a record
+    would corrupt the history every later tuner learns from."""
+    wl = pqp_catalogue()["pqp_linear_0"]
+    hist = generate_history_local([wl], n_per_workload=20, seed=11)
+    bundle = pretrain_global(hist, epochs=2, seed=0)
+    model = ZeroTuneCostModel(bundle.feature_encoder, seed=0).fit(hist, epochs=2, seed=0)
+    before = _bundle_digest(bundle)
+    pattern = periodic_pattern(n_permutations=1, seed=7)
+    run_pattern(StreamTuneTuner(bundle, wl, seed=1), wl, pattern, method_name="StreamTune")
+    run_pattern(ZeroTuneTuner(wl, model, seed=1), wl, pattern, method_name="ZeroTune")
+    assert _bundle_digest(bundle) == before

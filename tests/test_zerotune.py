@@ -56,4 +56,4 @@ class TestTuner:
         res = simulate(wl.dag, out.final_parallelism, wl.rates(8), seed=55)
         assert not res.job_backpressure
         # well above any minimal configuration
-        assert out.total_parallelism > 2 * len(wl.dag.tunable_operators())
+        assert sum(out.final_parallelism.values()) > 2 * len(wl.dag.tunable_operators())
