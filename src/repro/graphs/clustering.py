@@ -10,8 +10,9 @@ across calls: ``pretrain`` hands the same one to ``elbow_k``, the final
 ``kmeans_ged`` and the similarity centers inside both, so each distinct
 pair of structures costs at most one exact GED per pre-training. The
 assignment step can fan out over Spark (``assign_with_spark``); it then
-computes only the (structure, center) distances the memo lacks, and
-starts no job when it lacks none.
+computes only the (structure, center) distances the memo lacks, sending
+each worker an index into those pairs, which travel pickled with the
+worker function, and starts no job when it lacks none.
 
 ``elbow_k`` picks k by the elbow method (max second difference of the
 within-cluster distance curve), as in the paper's pre-training setup.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dag import DataflowDAG
-from .ged import GEDCache
+from .ged import GEDCache, ged
 from .similarity import dedupe, similarity_center
 
 MAX_ITER = 10  # k-means rounds before stopping unconverged
@@ -63,33 +64,22 @@ def assign_with_spark(
     memo: GEDCache | None = None,
 ) -> tuple[list[int], float]:
     """Distributed assignment step: the (structure, center) GEDs the memo
-    lacks are computed in parallel with ``mapInPandas``, one row per
-    distinct pair, and stored in the memo; the assignment is then read
-    from the memo exactly as :func:`_assign_local` does."""
+    lacks are computed in parallel with ``mapInPandas`` over one column of
+    pair indices, the pairs pickled with the worker function, and stored
+    in the memo; the assignment is then read from the memo exactly as
+    :func:`_assign_local` does."""
     memo = GEDCache() if memo is None else memo
     todo = memo.missing(graphs, centers)
     if todo:
         import pandas as pd
 
         def _compute(batches):
-            from repro.graphs.dag import DataflowDAG as D
-            from repro.graphs.ged import ged as _ged
+            for b in batches:
+                yield pd.DataFrame({"id": b["id"], "dist": [ged(*todo[i]) for i in b["id"]]})
 
-            for pdf in batches:
-                dists = [
-                    _ged(D.from_json(a), D.from_json(b))
-                    for a, b in zip(pdf["g_json"], pdf["c_json"])
-                ]
-                yield pd.DataFrame({"pid": pdf["pid"], "dist": dists})
-
-        rows = pd.DataFrame(
-            [(i, g.to_json(), c.to_json()) for i, (g, c) in enumerate(todo)],
-            columns=["pid", "g_json", "c_json"],
-        )
-        res = spark.createDataFrame(rows).mapInPandas(_compute, schema="pid long, dist long").toPandas()
-        for pid, d in zip(res["pid"], res["dist"]):
-            g, c = todo[int(pid)]
-            memo.put(g, c, int(d))
+        res = spark.range(len(todo)).mapInPandas(_compute, schema="id long, dist long").toPandas()
+        for i, d in zip(res["id"], res["dist"]):
+            memo.put(*todo[i], int(d))
     return _assign_local(graphs, centers, memo, counts)
 
 
@@ -174,6 +164,4 @@ def elbow_k(
 
 def nearest_center(g: DataflowDAG, centers: list[DataflowDAG]) -> int:
     """Cluster id of the nearest centroid (Algorithm 2, line 1)."""
-    from .ged import ged
-
     return int(np.argmin([ged(g, c) for c in centers]))

@@ -191,7 +191,7 @@ class DataflowDAG:
             if o.op_type not in ("source", "sink")
         ]
 
-    # -- serialisation (used by the Spark history fan-out) --------------------
+    # -- serialisation (the ``dag_json`` key of ``HistoryRecord.to_row``) -----
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -200,16 +200,6 @@ class DataflowDAG:
                 "edges": self.edges,
                 "sources": self.sources,
             }
-        )
-
-    @staticmethod
-    def from_json(s: str) -> "DataflowDAG":
-        d = json.loads(s)
-        return DataflowDAG(
-            name=d["name"],
-            operators=[Operator(**o) for o in d["operators"]],
-            edges=[tuple(e) for e in d["edges"]],
-            sources=d["sources"],
         )
 
     def canonical_key(self) -> str:

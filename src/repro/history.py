@@ -4,15 +4,15 @@ Real DSPS deployments accumulate histories of (dataflow DAG, source
 rates, parallelism degrees) → per-operator metrics. We generate them by
 fanning simulator deployments out over Spark with ``mapInPandas`` —
 exactly the kind of embarrassingly parallel sweep Spark is good at. A
-record holds its workload's own :class:`DataflowDAG`; the DAG's JSON form
-is only the wire format of that fan-out, one string per workload. The
-Spark worker returns each config's Algorithm 1 labels and job latency,
-and the driver builds the records from its own configs, in config order:
-the same list the pure-local generator (small unit tests, small sweeps)
-returns. The config table is not shuffled: ``createDataFrame`` already
-slices it into one contiguous partition per default-parallelism core,
-and a round-robin repartition on top cost more than the simulations
-themselves.
+record holds its workload's own :class:`DataflowDAG`. The sweep's only
+column is a config index: the configs themselves travel pickled with the
+worker function, which returns each config's Algorithm 1 labels and job
+latency, and the driver builds the records from its own configs, in
+config order: the same list the pure-local generator (small unit tests,
+small sweeps) returns. The index is not shuffled: ``spark.range``
+already slices it into one contiguous partition per default-parallelism
+core, and a round-robin repartition on top cost more than the
+simulations themselves.
 
 Per the paper: source rates are drawn from (1·W_u, 10·W_u) and are
 disjoint from the integer multipliers used during tuning; parallelism
@@ -131,52 +131,27 @@ def generate_history(
     n_per_workload: int = 40,
     seed: int = 11,
 ) -> list[HistoryRecord]:
-    """Spark-parallel history generation: the config sweep is distributed
-    with ``mapInPandas``, each worker returning the labels and job latency
-    of its configs; the records come back in config order (equal to
-    :func:`generate_history_local`)."""
+    """Spark-parallel history generation: ``mapInPandas`` over one column
+    of config indices, the configs pickled with the worker function (Spark
+    broadcasts it when large), each worker returning the labels and job
+    latency of its configs; the records come back in config order (equal
+    to :func:`generate_history_local`)."""
     cfgs = _configs(workloads, n_per_workload, seed)
-    wire = {id(wl.dag): wl.dag.to_json() for wl in workloads}
-    pdf = pd.DataFrame(
-        [
-            {
-                "i": i,
-                "job": c[0],
-                "dag_json": wire[id(c[1])],
-                "system": c[2],
-                "rates_json": json.dumps(c[3]),
-                "par_json": json.dumps(c[4]),
-                "seed": c[5],
-            }
-            for i, c in enumerate(cfgs)
-        ]
-    )
 
     def _run(batches):
         for b in batches:
-            dags = {s: DataflowDAG.from_json(s) for s in set(b["dag_json"])}
-            recs = [
-                _deploy_and_label(
-                    r.job,
-                    dags[r.dag_json],
-                    r.system,
-                    json.loads(r.rates_json),
-                    {k: int(v) for k, v in json.loads(r.par_json).items()},
-                    int(r.seed),
-                )
-                for r in b.itertuples()
-            ]
+            recs = [_deploy_and_label(*cfgs[i]) for i in b["id"]]
             yield pd.DataFrame(
                 {
-                    "i": b["i"].to_numpy(),
+                    "id": b["id"],
                     "labels_json": [json.dumps(r.labels) for r in recs],
                     "job_latency": [r.job_latency for r in recs],
                 }
             )
 
-    schema = "i long, labels_json string, job_latency double"
-    out = spark.createDataFrame(pdf).mapInPandas(_run, schema=schema).toPandas().sort_values("i")
+    schema = "id long, labels_json string, job_latency double"
+    out = spark.range(len(cfgs)).mapInPandas(_run, schema=schema).toPandas().sort_values("id")
     return [
-        HistoryRecord(*cfgs[i][:5], {k: int(v) for k, v in json.loads(lj).items()}, float(lat))
-        for i, lj, lat in zip(out["i"], out["labels_json"], out["job_latency"])
+        HistoryRecord(*cfgs[i][:5], json.loads(lj), float(lat))
+        for i, lj, lat in zip(out["id"], out["labels_json"], out["job_latency"])
     ]

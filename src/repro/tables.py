@@ -314,9 +314,8 @@ def fig11b_simcenter(
     import time
 
     from repro.graphs.similarity import similarity_center
-    from repro.sim.workloads import full_catalogue as _fc
 
-    base = list(_fc("flink").values())
+    base = list(full_catalogue("flink").values())
     rows = []
     for n in sizes:
         dags = [base[i % len(base)].dag for i in range(n)]

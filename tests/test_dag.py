@@ -117,15 +117,6 @@ class TestDataflowDAG:
         with pytest.raises(KeyError):
             dag.op("nope")
 
-    def test_json_roundtrip(self):
-        dag = _diamond()
-        back = DataflowDAG.from_json(dag.to_json())
-        assert back.name == dag.name
-        assert [o.op_id for o in back.operators] == [o.op_id for o in dag.operators]
-        assert back.edges == dag.edges
-        assert back.sources == dag.sources
-        assert back.op("a").selectivity == 0.5
-
     def test_canonical_key_ignores_ids(self):
         dag = _diamond()
         renamed = DataflowDAG(

@@ -55,14 +55,20 @@ class TestLocalGeneration:
 
 
 class TestSparkGeneration:
-    def test_parity_with_local(self, spark, workloads):
+    @pytest.mark.parametrize("system", ["flink", "timely"])
+    def test_parity_with_local(self, spark, system):
         """The distributed mapInPandas sweep must produce exactly the
         same records as the local generator, in the same order
-        (pre-training depends on record order)."""
-        local = generate_history_local(workloads, n_per_workload=8, seed=4)
-        dist = generate_history(spark, workloads, n_per_workload=8, seed=4)
+        (pre-training depends on record order), each holding its
+        workload's own DAG, on either engine."""
+        cat = nexmark_catalogue(system)
+        wls = [cat["nexmark_q3"], cat["nexmark_q5"]]
+        local = generate_history_local(wls, n_per_workload=8, seed=4)
+        dist = generate_history(spark, wls, n_per_workload=8, seed=4)
         assert [r.to_row() for r in dist] == [r.to_row() for r in local]
         assert dist == local
+        by_name = {wl.name: wl for wl in wls}
+        assert all(r.dag is by_name[r.job].dag for r in dist)
 
 
 class TestLatencyProxy:

@@ -8,7 +8,7 @@ A module that only ``tests/`` import is either wired into the program or
 deleted; this test makes ``pytest tests/`` fail first. The same parse
 also checks that the tuners reach the engine through one path, that no
 module but ``graphs/dag.py`` changes a DAG after it is built, that only
-the Spark fan-outs handle a DAG's JSON form, that no module branches on
+``HistoryRecord.to_row`` serialises a DAG, that no module branches on
 an engine's name, and that the tuners read no simulator ground truth
 beyond today's pinned set.
 """
@@ -168,13 +168,9 @@ dag.other.append(1)
     assert _dag_field_writes(ast.parse(src)) == list(range(2, 11))
 
 
-#: The Spark fan-outs, the only scopes outside ``graphs/dag.py`` that put
-#: a DAG on the wire or read one off it (their nested workers included).
-_WIRE_SITES = (
-    "repro.history.generate_history",
-    "repro.history.HistoryRecord.to_row",
-    "repro.graphs.clustering.assign_with_spark",
-)
+#: The only scope outside ``graphs/dag.py`` that serialises a DAG: the
+#: ``dag_json`` key of a record's row form.
+_WIRE_SITES = ("repro.history.HistoryRecord.to_row",)
 
 
 def _json_calls(tree, module: str) -> set[str]:
@@ -196,10 +192,12 @@ def _json_calls(tree, module: str) -> set[str]:
     return out
 
 
-def test_only_the_spark_fanouts_handle_dag_json():
-    # History records carry their ``DataflowDAG``; JSON is only the wire
-    # format of the Spark fan-outs, so any other module parsing or dumping
-    # a DAG is a second copy of it (or a dump and re-parse per record).
+def test_only_to_row_serialises_a_dag():
+    # History records carry their ``DataflowDAG``, and the Spark fan-outs
+    # send their workers an index into inputs pickled with the worker
+    # function, so a DAG has no JSON form but ``to_row``'s; any other
+    # module parsing or dumping a DAG is a second copy of it (or a dump and
+    # re-parse per record).
     own = _SRC / "repro" / "graphs" / "dag.py"
     sites = set().union(*(
         _json_calls(ast.parse(p.read_text()), _module_name(p, _SRC))
@@ -209,7 +207,7 @@ def test_only_the_spark_fanouts_handle_dag_json():
     stray = sorted(
         s for s in sites if not any(s == w or s.startswith(w + ".") for w in _WIRE_SITES)
     )
-    assert not stray, f"DAG JSON outside the Spark fan-outs: {stray}"
+    assert not stray, f"DAG JSON outside HistoryRecord.to_row: {stray}"
 
 
 def test_json_call_scan_sees_calls():
