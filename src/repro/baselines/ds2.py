@@ -3,7 +3,8 @@
 DS2 observes each operator's *useful time* (busy fraction) and observed
 processing rate, estimates the operator's true processing ability as
 ``rate / busy``, and — assuming PA is linear in parallelism — picks the
-lowest degree that sustains the target rate propagated from the sources:
+lowest degree that sustains the source rates propagated through the
+DAG's static selectivities (:func:`repro.core.features.upstream_rates`):
 
     p* = ⌈ p_cur · target_input / true_rate ⌉
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+from repro.core.features import upstream_rates
 from repro.core.tuner import Deployer, TuneProcessResult, TuningProcess
 from repro.sim.engine import PROFILES, SimResult
 from repro.sim.workloads import Workload
@@ -25,16 +27,6 @@ from repro.sim.workloads import Workload
 MIN_BUSY = 0.02
 #: Redeployments per tuning process before DS2 or ContTune stops.
 MAX_ITERS = 6
-
-
-def target_rates(wl: Workload, result: SimResult, rates: dict[str, float]) -> dict[str, float]:
-    """Propagate the *full* source rates through observed selectivities —
-    DS2's 'true output rate' computation (its step 2)."""
-    sel = {
-        oid: (m.output_rate / m.processed_rate) if m.processed_rate > 0 else 1.0
-        for oid, m in result.metrics.items()
-    }
-    return wl.dag.propagate(rates, selectivity=sel)[0]
 
 
 def estimate_true_rate(m) -> float:
@@ -47,12 +39,14 @@ def reactive_tune(tuner, current, rates, obs, recommend) -> tuple[TuneProcessRes
     until it stops changing, at most MAX_ITERS times.
 
     ``obs`` is the observation that triggers the process;
-    ``recommend(par, obs, target_rates)`` maps the deployed parallelism and
-    the latest observation to the next recommendation; ``tuner._observe``
-    deploys it. Returns the outcome and the last observation."""
+    ``recommend(par, obs, tgt)`` maps the deployed parallelism, the latest
+    observation and the targets (the *full* source rates propagated through
+    the DAG, however throttled ``obs`` is) to the next recommendation;
+    ``tuner._observe`` deploys it. Returns the outcome and the last observation."""
     proc = TuningProcess(tuner._observe, current, rates)
+    tgt = upstream_rates(tuner.wl.dag, rates)
     for _ in range(MAX_ITERS):
-        rec = recommend(proc.par, obs, target_rates(tuner.wl, obs, rates))
+        rec = recommend(proc.par, obs, tgt)
         if not proc.changes(rec):
             break
         obs = proc.to(rec)

@@ -39,9 +39,7 @@ class ZeroTuneCostModel:
 
     def __init__(self, fe: FeatureEncoder, *, seed: int = 0) -> None:
         self.fe = fe
-        self.gnn = GNN(
-            d_in=fe.dim + 1, dim=DIM, use_fuse=False, head="graph_reg", seed=seed
-        )
+        self.gnn = GNN(d_in=fe.dim + 1, dim=DIM, head="graph_reg", seed=seed)
 
     def fit(self, records: list[HistoryRecord], *, epochs: int = 60, seed: int = 0) -> "ZeroTuneCostModel":
         samples = []

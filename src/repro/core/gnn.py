@@ -110,14 +110,14 @@ class GNN:
         dim: int = 32,
         hidden: int = 32,
         rounds: int = 2,
-        use_fuse: bool = True,
         head: str = "node_binary",
         seed: int = 0,
     ) -> None:
         if head not in ("node_binary", "graph_reg"):
             raise ValueError(f"unknown head {head!r}")
         self.d_in, self.dim, self.hidden = d_in, dim, hidden
-        self.rounds, self.use_fuse, self.head = rounds, use_fuse, head
+        self.rounds, self.head = rounds, head
+        self.use_fuse = head == "node_binary"
         rng = np.random.default_rng(seed)
 
         def g(*shape):
@@ -132,7 +132,7 @@ class GNN:
             self.params[f"Wi{t}"] = g(dim, dim)
             self.params[f"Wo{t}"] = g(dim, dim)
             self.params[f"b{t}_mp"] = np.zeros(dim)
-        if use_fuse:
+        if self.use_fuse:
             self.params["Wf"] = g(dim + 1, dim)
             self.params["bf"] = np.zeros(dim)
         self.params["W1"] = g(dim, hidden)

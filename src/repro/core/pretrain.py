@@ -162,7 +162,7 @@ def pretrain(
     accs: list[float] = []
     for c in range(k):
         samples = [record_to_sample(r, fe) for r in cluster_records[c]]
-        gnn = GNN(d_in=fe.dim, dim=DIM, use_fuse=True, head="node_binary", seed=seed + c)
+        gnn = GNN(d_in=fe.dim, dim=DIM, head="node_binary", seed=seed + c)
         labelled = [s for s in samples if (s.y_node >= 0).any()]
         if labelled:
             gnn.fit(labelled, epochs=epochs, seed=seed + c)

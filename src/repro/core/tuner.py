@@ -292,21 +292,21 @@ class StreamTuneTuner:
             """True when the deployment is healthy only by the grace of
             the detection threshold: some backpressured time exists (the
             raw metric is observable below the 10 % detection cut-off) or
-            an operator is effectively saturated. Such configs flip to
-            detected backpressure under engine jitter, so they are
-            hardened rather than memoised as safe."""
+            an operator's observed CPU is effectively saturated. Such
+            configs flip to detected backpressure under engine jitter, so
+            they are hardened rather than memoised as safe."""
             if res.job_backpressure:
                 return True
             if PROFILES[self.wl.system].backpressure:
                 return res.throttle < 0.95
             return any(
-                m.busy > 0.97
+                m.observed_cpu > 0.97
                 for o, m in res.metrics.items()
                 if self.wl.dag.op(o).op_type not in ("source", "sink")
             )
 
         def harden(res):
-            """Bump saturated/bottleneck operators until off the edge."""
+            """Bump operators at near-saturated observed CPU until off the edge."""
             r = res
             for _ in range(3):
                 if not at_edge(r):
@@ -314,7 +314,7 @@ class StreamTuneTuner:
                 bumps = {
                     o: min(self.wl.p_max, proc.par[o] + max(1, int(0.05 * proc.par[o])))
                     for o, m in r.metrics.items()
-                    if o in proc.par and (m.is_bottleneck_cause or m.busy > 0.9)
+                    if o in proc.par and m.observed_cpu > 0.9
                 }
                 if not bumps:
                     return r

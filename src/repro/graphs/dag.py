@@ -159,15 +159,14 @@ class DataflowDAG:
         return seen
 
     def propagate(
-        self, source_rates: dict[str, float], selectivity: dict[str, float] | None = None,
-        cap: dict[str, float] | None = None,
+        self, source_rates: dict[str, float], cap: dict[str, float] | None = None,
     ) -> tuple[dict[str, float], dict[str, float]]:
         """Push source rates through the DAG in topological order.
 
         A source emits its rate. Every other operator takes the sum of its
         upstreams' outputs, processes at most ``cap[op]`` of it, and emits
-        processed × selectivity — its own, unless ``selectivity`` maps it.
-        Returns (input rate, processed rate) per operator."""
+        processed × its selectivity. Returns (input rate, processed rate)
+        per operator."""
         inp: dict[str, float] = {}
         processed: dict[str, float] = {}
         out: dict[str, float] = {}
@@ -177,8 +176,7 @@ class DataflowDAG:
                 continue
             r = inp[oid] = sum(out[u] for u in self.upstream(oid))
             processed[oid] = r if cap is None else min(r, cap[oid])
-            sel = self.op(oid).selectivity if selectivity is None else selectivity[oid]
-            out[oid] = processed[oid] * sel
+            out[oid] = processed[oid] * self.op(oid).selectivity
         return inp, processed
 
     #: Operators whose parallelism is tunable (sources/sinks are not —

@@ -165,8 +165,6 @@ def processing_ability(op, p: int, system: str = "flink", jitter: float = 1.0) -
 class OpMetrics:
     """Per-operator steady-state metrics for one deployment."""
 
-    op_id: str
-    parallelism: int
     input_rate: float
     processed_rate: float
     output_rate: float
@@ -258,7 +256,6 @@ def simulate(
     job_bp = False
     for oid in dag.topological_order():
         op = dag.op(oid)
-        p = parallelism.get(oid, 1)
         cap = pa[oid]
         busy = 0.0 if not np.isfinite(cap) or cap <= 0 else min(1.0, inp_t[oid] / cap)
         # α = 1 (always so without backpressure) leaves no backpressured time.
@@ -273,9 +270,7 @@ def simulate(
         obs_busy = float(np.clip(obs_busy * (1.0 + rng.normal(0, BUSY_NOISE_STD)), 1e-6, 1.0))
         obs_cpu = float(np.clip(busy * (1.0 + rng.normal(0, BUSY_NOISE_STD)), 0.0, 1.0))
         obs_rate = float(processed_t[oid] * (1.0 + rng.normal(0, 0.01)))
-        m = OpMetrics(
-            op_id=oid,
-            parallelism=p,
+        metrics[oid] = OpMetrics(
             input_rate=float(inp_t[oid]),
             processed_rate=float(processed_t[oid]),
             output_rate=float(processed_t[oid] * op.selectivity)
@@ -291,7 +286,6 @@ def simulate(
             observed_cpu=obs_cpu,
             observed_rate=obs_rate,
         )
-        metrics[oid] = m
         job_bp = job_bp or bool(detected)
     return SimResult(
         system=system,

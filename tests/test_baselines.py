@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.conttune import ContTuneTuner, GaussianProcess1D
-from repro.baselines.ds2 import DS2Tuner, estimate_true_rate, target_rates
+from repro.baselines.ds2 import DS2Tuner, estimate_true_rate, reactive_tune
 from repro.sim.engine import processing_ability, simulate
 from repro.sim.workloads import nexmark_catalogue
 
@@ -54,11 +54,22 @@ class TestDS2:
 
     def test_target_rates_use_full_source_rates(self, q5):
         rates = q5.rates(10)
-        res = simulate(q5.dag, {o: 1 for o in q5.dag.tunable_operators()}, rates, seed=0)
-        tgt = target_rates(q5, res, rates)
-        # despite throttling, the target for the first operator is the
-        # full source rate
-        assert tgt["wagg"] == pytest.approx(rates["bids"])
+        seen, throttles = [], []
+
+        def recommend(par, obs, tgt):
+            seen.append(tgt)
+            return par  # a fixpoint: the process stops after one call
+
+        for p in (1, q5.p_max):
+            par = {o: p for o in q5.dag.tunable_operators()}
+            obs = simulate(q5.dag, par, rates, seed=0)
+            throttles.append(obs.throttle)
+            reactive_tune(DS2Tuner(q5, seed=0), par, rates, obs, recommend)
+        assert throttles[0] < 1.0 == throttles[1]
+        # throttled or not, the targets are the same, and the first
+        # operator's is the full source rate
+        assert seen[0] == seen[1]
+        assert seen[0]["wagg"] == rates["bids"]
 
     def test_estimate_inherits_bias(self, q5):
         """rate/observed_busy is a *biased* PA estimate — the paper's

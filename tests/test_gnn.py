@@ -72,10 +72,10 @@ class TestForward:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("head,use_fuse", [("node_binary", True), ("graph_reg", False)])
-    def test_numerical_gradient_check(self, head, use_fuse):
+    @pytest.mark.parametrize("head", ["node_binary", "graph_reg"])
+    def test_numerical_gradient_check(self, head):
         """Handwritten backprop must match finite differences."""
-        g = GNN(d_in=5, dim=6, hidden=5, head=head, use_fuse=use_fuse, seed=1)
+        g = GNN(d_in=5, dim=6, hidden=5, head=head, seed=1)
         s = _line_graph(n=3, d_in=5, seed=2)
         if head == "graph_reg":
             s.y_graph = 0.7
@@ -138,13 +138,13 @@ class TestGraphRegression:
             s = GraphSample(x=s.x, a_in=s.a_in, a_out=s.a_out,
                             y_graph=float(s.x[:, 1].mean()))
             samples.append(s)
-        g = GNN(d_in=6, dim=16, head="graph_reg", use_fuse=False, seed=0)
+        g = GNN(d_in=6, dim=16, head="graph_reg", seed=0)
         g.fit(samples, epochs=120, lr=3e-3, seed=0)
         errs = [abs(g.forward(s)[0] - s.y_graph) for s in samples]
         assert np.mean(errs) < 0.2
 
     def test_single_scalar_output(self):
-        g = GNN(d_in=6, dim=8, head="graph_reg", use_fuse=False, seed=0)
+        g = GNN(d_in=6, dim=8, head="graph_reg", seed=0)
         s = _line_graph()
         assert g.forward(s).shape == (1,)
 
@@ -180,7 +180,7 @@ def _node_gnn():
 
 
 def _graph_gnn():
-    return GNN(d_in=6, dim=16, hidden=8, head="graph_reg", use_fuse=False, seed=3)
+    return GNN(d_in=6, dim=16, hidden=8, head="graph_reg", seed=3)
 
 
 class TestStacking:

@@ -1,8 +1,8 @@
 """Golden parity for every consumer of dataflow rate propagation, pinned
 bit for bit: the catalogue's fitted tuple widths, the offered upstream
-rates, DS2's target rates and the encoded node features. Each value is a
-sha256 over the exact float64 values, so any change in summation order
-or rounding fails."""
+rates (which are also DS2's and ContTune's target rates) and the encoded
+node features. Each value is a sha256 over the exact float64 values, so
+any change in summation order or rounding fails."""
 import hashlib
 import json
 from pathlib import Path
@@ -10,9 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.baselines.ds2 import target_rates
 from repro.core.features import FeatureEncoder, upstream_rates
-from repro.sim.engine import PROFILES, simulate
+from repro.sim.engine import PROFILES
 from repro.sim.workloads import full_catalogue
 
 SYSTEMS = ("flink", "timely")
@@ -28,8 +27,7 @@ def _sha(values) -> str:
 def digests(system: str) -> dict[str, dict[str, str]]:
     """Per workload of ``system``'s catalogue: one digest per consumer.
 
-    The encoder is fitted on the whole catalogue at multipliers 1–10;
-    DS2's targets come from one deployment at parallelism 4, seed 0."""
+    The encoder is fitted on the whole catalogue at multipliers 1–10."""
     cat = full_catalogue(system)
     enc = FeatureEncoder().fit(
         [(wl.dag, wl.rates(m)) for wl in cat.values() for m in range(1, 11)],
@@ -48,10 +46,6 @@ def digests(system: str) -> dict[str, dict[str, str]]:
             up = upstream_rates(dag, wl.rates(m))
             rec[f"upstream_x{m}"] = _sha([up[o] for o in order])
             rec[f"encode_x{m}"] = _sha(enc.encode_dag(dag, wl.rates(m))[1])
-        rates10 = wl.rates(10)
-        res = simulate(dag, {o: 4 for o in dag.tunable_operators()}, rates10, system=system, seed=0)
-        tgt = target_rates(wl, res, rates10)
-        rec["target_x10"] = _sha([tgt[o] for o in order])
         out[name] = rec
     return out
 

@@ -9,12 +9,14 @@ deleted; this test makes ``pytest tests/`` fail first. The same parse
 also checks that the tuners reach the engine through one path, that no
 module but ``graphs/dag.py`` changes a DAG after it is built, that only
 ``HistoryRecord.to_row`` serialises a DAG, that no module branches on
-an engine's name, and that the tuners read no simulator ground truth
-beyond today's pinned set.
+an engine's name, and that the tuners read no simulator ground truth.
 """
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from repro.sim.engine import OpMetrics
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SRC = _ROOT / "src"
@@ -271,6 +273,15 @@ _GROUND_TRUTH = {
     "busy", "backpressured", "idle", "is_bottleneck_cause", "pa",
     "input_rate", "processed_rate", "output_rate",
 }
+#: What a real job reports: the backpressure flag and noisy useful time,
+#: CPU and processing rate.
+_OBSERVED = {"under_backpressure", "observed_busy", "observed_cpu", "observed_rate"}
+
+
+def test_every_metric_is_classified():
+    # A new engine field is either observable or ground truth; one in
+    # neither set would slip past the scan below unchecked.
+    assert {f.name for f in fields(OpMetrics)} == _GROUND_TRUTH | _OBSERVED
 
 
 def _ground_truth_reads(tree, module: str) -> set[tuple[str, str, str]]:
@@ -294,22 +305,14 @@ def _ground_truth_reads(tree, module: str) -> set[tuple[str, str, str]]:
     return out
 
 
-def test_tuners_read_only_todays_ground_truth():
-    # ROADMAP item 2 splits what a real DSPS exposes (an Observation) from
-    # the simulator's ground truth; until then these are the only reads of
-    # ground truth by the tuners and Algorithm 1, and no new one may join
-    # them. The Observation split empties this set.
+def test_tuners_read_no_ground_truth():
+    # The tuners and Algorithm 1 tune from what a real DSPS exposes: the
+    # observed fields of ``OpMetrics`` and the job-level flags.
     repro = _SRC / "repro"
     paths = [repro / "core" / "tuner.py", repro / "core" / "bottleneck.py",
              *sorted((repro / "baselines").glob("*.py"))]
     reads = set().union(*(_ground_truth_reads(ast.parse(p.read_text()), p.stem) for p in paths))
-    assert reads == {
-        ("tuner", "at_edge", "busy"),
-        ("tuner", "harden", "busy"),
-        ("tuner", "harden", "is_bottleneck_cause"),
-        ("ds2", "target_rates", "output_rate"),
-        ("ds2", "target_rates", "processed_rate"),
-    }
+    assert reads == set()
 
 
 def test_ground_truth_scan_sees_reads():
