@@ -7,16 +7,16 @@ Paper's shape: StreamTune needs far less parallelism than DS2 (up to
 spinning workers) at comparable per-epoch latency."""
 from benchmarks.conftest import HISTORY, PERMS
 
-from repro.tables import run_timely_evaluation
+from repro.tables import EvalConfig, fig8_timely, run_evaluation
+
+
+def _fig8():
+    cfg = EvalConfig(system="timely", pattern_perms=PERMS, history_per_workload=HISTORY)
+    return fig8_timely(run_evaluation(cfg))
 
 
 def test_bench_fig8(benchmark):
-    df = benchmark.pedantic(
-        run_timely_evaluation,
-        kwargs=dict(pattern_perms=PERMS, history_per_workload=HISTORY),
-        rounds=1,
-        iterations=1,
-    )
+    df = benchmark.pedantic(_fig8, rounds=1, iterations=1)
     print("\nFig. 8 — Timely Dataflow evaluation:")
     print(df.to_string(index=False))
     piv = df.pivot_table(

@@ -23,7 +23,7 @@ HISTORY = int(os.environ.get("REPRO_HISTORY", "250"))
 
 @pytest.fixture(scope="session")
 def eval_run():
-    from repro.tables import EvalConfig, run_flink_evaluation
+    from repro.tables import EvalConfig, run_evaluation
 
     cfg = EvalConfig(
         pattern_perms=PERMS,
@@ -31,4 +31,4 @@ def eval_run():
         history_per_workload=HISTORY,
         model_kind="xgboost",
     )
-    return run_flink_evaluation(cfg, verbose=False)
+    return run_evaluation(cfg, verbose=False)

@@ -33,15 +33,16 @@ def eval_args(description: str) -> argparse.Namespace:
     return ap.parse_args()
 
 
-def make_run(args):
-    from repro.tables import EvalConfig, run_flink_evaluation
+def make_run(args, system: str = "flink"):
+    from repro.tables import EvalConfig, run_evaluation
 
     spark = None if args.local else get_spark("repro-eval")
     cfg = EvalConfig(
+        system=system,
         pattern_perms=args.perms,
         pqp_per_group=args.pqp_per_group,
         history_per_workload=args.history,
         model_kind=args.model,
         seed=args.seed,
     )
-    return run_flink_evaluation(cfg, spark=spark, verbose=True)
+    return run_evaluation(cfg, spark=spark, verbose=True)

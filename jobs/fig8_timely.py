@@ -7,19 +7,12 @@ Usage: spark-submit jobs/fig8_timely.py [--perms 6] [--local]
 import sys
 
 sys.path.insert(0, "jobs")
-from _common import eval_args, get_spark  # noqa: E402
+from _common import eval_args, make_run  # noqa: E402
 
-from repro.tables import run_timely_evaluation  # noqa: E402
+from repro.tables import fig8_timely  # noqa: E402
 
 if __name__ == "__main__":
     args = eval_args(__doc__)
-    spark = None if args.local else get_spark("repro-timely")
-    df = run_timely_evaluation(
-        pattern_perms=args.perms,
-        history_per_workload=args.history,
-        model_kind=args.model,
-        seed=args.seed,
-        spark=spark,
-    )
+    df = fig8_timely(make_run(args, system="timely"))
     print("\nFig. 8 — Timely Dataflow evaluation:")
     print(df.to_string(index=False))

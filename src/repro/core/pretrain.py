@@ -129,11 +129,12 @@ def pretrain(
 
     ``k=None`` selects k with the elbow method over the distinct DAG
     structures (paper §V-A). ``spark`` distributes the k-means assignment
-    step; training itself is per-cluster numpy (graphs are tiny). With
-    ``k == 1`` there is nothing to cluster or route: no similarity center
-    is searched for, and the bundle's one center is the first record's
-    DAG. The parallelism scale is the ``p_max`` of the engine the history
-    was recorded on, so the history must come from a single engine."""
+    step; training itself is per-cluster numpy (graphs are tiny). ``k == 1``
+    is the §VII fallback for limited histories, one global encoder: there
+    is nothing to cluster or route, no similarity center is searched for,
+    and the bundle's one center is the first record's DAG. The parallelism
+    scale is the ``p_max`` of the engine the history was recorded on, so
+    the history must come from a single engine."""
     if not records:
         raise ValueError("empty history")
     systems = sorted({r.system for r in records})
@@ -177,14 +178,3 @@ def pretrain(
         cluster_records=cluster_records,
         train_acc=accs,
     )
-
-
-def pretrain_global(
-    records: list[HistoryRecord],
-    *,
-    epochs: int = 50,
-    seed: int = 0,
-) -> PretrainedBundle:
-    """The §VII fallback for limited histories: skip clustering and train
-    a single global encoder (one cluster containing everything)."""
-    return pretrain(records, k=1, epochs=epochs, seed=seed)

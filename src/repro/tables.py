@@ -1,13 +1,15 @@
-"""Evaluation harnesses — one function per table of the paper's §V.
+"""The evaluation harness of the paper's §V, and one extractor per table.
 
 Shared protocol (§V-A): the periodic source-rate pattern (120 changes at
 full scale; ``pattern_perms`` scales it down for CI-speed runs), tuners
 carry deployed parallelism across changes, and the same pre-trained
-bundle backs every StreamTune tuner. PQP groups are evaluated on a
-subset of queries per group (``pqp_per_group``) and counts are scaled to
-the full group size so they are comparable to the paper's totals.
+bundle backs every StreamTune tuner. ``run_evaluation`` runs it once on
+either engine (``EvalConfig.system``) and returns an ``EvalRun``; the
+extractors below read that run. PQP groups are evaluated on a subset of
+queries per group (``pqp_per_group``) and counts are scaled to the full
+group size so they are comparable to the paper's totals.
 
-Functions return pandas DataFrames shaped like the paper's tables;
+Extractors return pandas DataFrames shaped like the paper's tables;
 ``jobs/*.py`` print them, ``benchmarks/*.py`` time/regress them, and
 EXPERIMENTS.md records paper-vs-ours side by side.
 """
@@ -21,7 +23,7 @@ import pandas as pd
 from repro.baselines.conttune import ContTuneTuner
 from repro.baselines.ds2 import DS2Tuner
 from repro.baselines.zerotune import ZeroTuneCostModel, ZeroTuneTuner
-from repro.core.pretrain import PretrainedBundle, pretrain, pretrain_global
+from repro.core.pretrain import PretrainedBundle, pretrain
 from repro.core.tuner import PatternRunStats, StreamTuneTuner, run_pattern
 from repro.history import HistoryRecord, generate_history, generate_history_local
 from repro.sim.engine import epoch_latencies
@@ -33,6 +35,14 @@ LATENCY_EPOCHS = 200
 
 #: Columns of Table III / Fig. 6 / Fig. 7a, in the paper's order.
 QUERY_COLUMNS = ["Q1", "Q2", "Q3", "Q5", "Q8", "Linear", "2-way-join", "3-way-join"]
+
+#: Engine → (reported columns, history seed): the per-engine facts of the
+#: §V protocol, keyed like ``sim.engine.PROFILES`` but not engine physics
+#: (Fig. 8 shows Q3/Q5/Q8 only).
+PROTOCOLS: dict[str, tuple[list[str], int]] = {
+    "flink": (QUERY_COLUMNS, 11),
+    "timely": (["Q3", "Q5", "Q8"], 13),
+}
 
 _NEXMARK_BY_COL = {
     "Q1": "nexmark_q1",
@@ -50,8 +60,9 @@ _PQP_BY_COL = {
 
 @dataclass
 class EvalConfig:
-    """Knobs for one full Flink evaluation sweep."""
+    """Knobs for one evaluation sweep, on either engine."""
 
+    system: str = "flink"  # a key of PROTOCOLS and sim.engine.PROFILES
     pattern_perms: int = 2  # 6 → the paper's 120 changes
     pqp_per_group: int = 2  # queries evaluated per PQP template group
     history_per_workload: int = 250
@@ -63,24 +74,24 @@ class EvalConfig:
 
 @dataclass
 class EvalRun:
-    """All pattern-run statistics from one sweep, reusable across the
-    Table III / Fig. 6 / Fig. 7a extractors."""
+    """The pattern and every pattern-run statistic of one sweep, reusable
+    across the table extractors."""
 
     config: EvalConfig
     bundle: PretrainedBundle
-    #: method → column → list of per-query PatternRunStats
+    pattern: list[int] = field(default_factory=list)
+    #: method → column → one PatternRunStats per evaluated job
     stats: dict[str, dict[str, list[PatternRunStats]]] = field(default_factory=dict)
-    jobs_per_column: dict[str, int] = field(default_factory=dict)
-    group_sizes: dict[str, int] = field(default_factory=dict)
 
 
 def _eval_jobs(cfg: EvalConfig) -> dict[str, list[str]]:
     """Column → workload names evaluated for it."""
     groups = pqp_groups()
-    out: dict[str, list[str]] = {c: [w] for c, w in _NEXMARK_BY_COL.items()}
-    for col, grp in _PQP_BY_COL.items():
-        out[col] = groups[grp][: cfg.pqp_per_group]
-    return out
+    return {
+        col: [_NEXMARK_BY_COL[col]] if col in _NEXMARK_BY_COL
+        else groups[_PQP_BY_COL[col]][: cfg.pqp_per_group]
+        for col in PROTOCOLS[cfg.system][0]
+    }
 
 
 def _history(spark, workloads: list[Workload], n_per_workload: int, seed: int) -> list[HistoryRecord]:
@@ -90,17 +101,17 @@ def _history(spark, workloads: list[Workload], n_per_workload: int, seed: int) -
     return generate_history(spark, workloads, n_per_workload=n_per_workload, seed=seed)
 
 
-def run_flink_evaluation(
+def run_evaluation(
     cfg: EvalConfig | None = None, *, spark=None, verbose: bool = False
 ) -> EvalRun:
-    """Pre-train once, then drive DS2 / ContTune / ZeroTune / StreamTune
-    through the periodic pattern on every evaluated job."""
+    """Pre-train once on ``cfg.system``'s history, then drive DS2 /
+    ContTune / ZeroTune / StreamTune through the periodic pattern on every
+    evaluated job. ZeroTune runs only where PQP history exists."""
     cfg = cfg or EvalConfig()
-    cat = full_catalogue("flink")
+    cat = full_catalogue(cfg.system)
     jobs = _eval_jobs(cfg)
-    eval_names = sorted({n for names in jobs.values() for n in names})
-    workloads = [cat[n] for n in eval_names]
-    history = _history(spark, workloads, cfg.history_per_workload, seed=11)
+    workloads = [cat[n] for n in sorted({n for names in jobs.values() for n in names})]
+    history = _history(spark, workloads, cfg.history_per_workload, seed=PROTOCOLS[cfg.system][1])
     bundle = pretrain(history, k=cfg.k_clusters, epochs=cfg.pretrain_epochs, seed=0, spark=spark)
     pqp_hist = [r for r in history if r.job.startswith("pqp")]
     zt_model = None
@@ -110,13 +121,7 @@ def run_flink_evaluation(
         )
 
     pattern = periodic_pattern(n_permutations=cfg.pattern_perms, seed=7)
-    run = EvalRun(config=cfg, bundle=bundle)
-    groups = pqp_groups()
-    run.group_sizes = {c: len(groups[g]) for c, g in _PQP_BY_COL.items()} | {
-        c: 1 for c in _NEXMARK_BY_COL
-    }
-    for col, names in jobs.items():
-        run.jobs_per_column[col] = len(names)
+    run = EvalRun(config=cfg, bundle=bundle, pattern=pattern)
     methods: dict[str, object] = {
         "DS2": lambda wl: DS2Tuner(wl, seed=cfg.seed),
         "ContTune": lambda wl: ContTuneTuner(wl, seed=cfg.seed),
@@ -130,11 +135,10 @@ def run_flink_evaluation(
     for method, mk in methods.items():
         run.stats[method] = {}
         for col, names in jobs.items():
-            col_stats: list[PatternRunStats] = []
+            run.stats[method][col] = col_stats = []
             for name in names:
                 wl = cat[name]
-                tuner = mk(wl)
-                if tuner is None:
+                if (tuner := mk(wl)) is None:
                     continue
                 st = run_pattern(tuner, wl, pattern, method_name=method)
                 col_stats.append(st)
@@ -145,14 +149,24 @@ def run_flink_evaluation(
                         f"p@10={st.final_parallelism_at.get(10)}",
                         flush=True,
                     )
-            run.stats[method][col] = col_stats
     return run
 
 
-def _scale(col: str, run: EvalRun, value: float) -> float:
-    """Scale a subset total up to the paper's full group size."""
-    n_eval = max(1, run.jobs_per_column.get(col, 1))
-    return value * run.group_sizes.get(col, 1) / n_eval
+# perfbench calls these two names; they go once perfbench calls
+# ``run_evaluation`` and ``fig8_timely`` itself.
+run_flink_evaluation = run_evaluation
+
+
+def run_timely_evaluation(*, spark=None, **knobs) -> pd.DataFrame:
+    """Fig. 8 of a Timely sweep with ``EvalConfig`` knobs ``knobs``."""
+    return fig8_timely(run_evaluation(EvalConfig(system="timely", **knobs), spark=spark))
+
+
+def _scale(col: str, stats: list[PatternRunStats], value: float) -> float:
+    """Scale a total over a column's evaluated jobs (one stat each) up to
+    the paper's full group size."""
+    group = len(pqp_groups()[_PQP_BY_COL[col]]) if col in _PQP_BY_COL else 1
+    return value * group / len(stats)
 
 
 def table2_source_rates() -> pd.DataFrame:
@@ -184,7 +198,7 @@ def table3_backpressure(run: EvalRun) -> pd.DataFrame:
     tuning processes, scaled to full PQP group sizes."""
     return _method_table(
         run, ("DS2", "ContTune", "ZeroTune", "StreamTune"),
-        lambda col, stats: int(round(_scale(col, run, sum(s.total_backpressure for s in stats)))),
+        lambda col, stats: int(round(_scale(col, stats, sum(s.total_backpressure for s in stats)))),
     )
 
 
@@ -229,51 +243,32 @@ def fig7b_tuning_minutes(run: EvalRun) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-# -- Timely evaluation (Fig. 8) ---------------------------------------------
-
-
-def run_timely_evaluation(
-    *,
-    pattern_perms: int = 2,
-    history_per_workload: int = 250,
-    pretrain_epochs: int = 50,
-    model_kind: str = "xgboost",
-    seed: int = 3,
-    spark=None,
-) -> pd.DataFrame:
-    """Fig. 8 (as a table): final total parallelism at 10·W_u on the
-    Timely engine plus per-epoch latency percentiles under each method's
-    recommendation, for Q3/Q5/Q8."""
-    cat = full_catalogue("timely")
-    report_jobs = ["nexmark_q3", "nexmark_q5", "nexmark_q8"]
-    workloads = [cat[n] for n in report_jobs]
-    history = _history(spark, workloads, history_per_workload, seed=13)
-    bundle = pretrain_global(history, epochs=pretrain_epochs, seed=0)
-    pattern = periodic_pattern(n_permutations=pattern_perms, seed=7)
+def fig8_timely(run: EvalRun) -> pd.DataFrame:
+    """Fig. 8 (as a table): final total parallelism at 10·W_u plus
+    per-epoch latency percentiles under each method's recommendation, per
+    query of a Timely sweep."""
+    cat = full_catalogue(run.config.system)
     rows = []
-    for name in report_jobs:
-        wl = cat[name]
-        for method, mk in (
-            ("DS2", lambda: DS2Tuner(wl, seed=seed)),
-            ("ContTune", lambda: ContTuneTuner(wl, seed=seed)),
-            ("StreamTune", lambda: StreamTuneTuner(bundle, wl, model_kind=model_kind, seed=seed)),
-        ):
-            st = run_pattern(mk(), wl, pattern, method_name=method)
-            # Latency CDF under the configuration the pattern run reached
-            # at 10·W_u — the one whose total parallelism is reported.
-            lat = epoch_latencies(
-                wl.dag, st.parallelism_at[10], wl.rates(10), n_epochs=LATENCY_EPOCHS, seed=seed
-            )
-            rows.append(
-                {
-                    "Query": name.replace("nexmark_q", "Q"),
-                    "Method": method,
-                    "total parallelism @10Wu": st.final_parallelism_at[10],
-                    "bottleneck events": st.total_backpressure,
-                    "latency p50 (s)": round(float(np.percentile(lat, 50)), 3),
-                    "latency p99 (s)": round(float(np.percentile(lat, 99)), 3),
-                }
-            )
+    for col in PROTOCOLS[run.config.system][0]:
+        for method in ("DS2", "ContTune", "StreamTune"):
+            for st in run.stats[method][col]:
+                wl = cat[st.job]
+                # Latency CDF under the configuration the pattern run reached
+                # at 10·W_u — the one whose total parallelism is reported.
+                lat = epoch_latencies(
+                    wl.dag, st.parallelism_at[10], wl.rates(10),
+                    n_epochs=LATENCY_EPOCHS, seed=run.config.seed,
+                )
+                rows.append(
+                    {
+                        "Query": col,
+                        "Method": method,
+                        "total parallelism @10Wu": st.final_parallelism_at[10],
+                        "bottleneck events": st.total_backpressure,
+                        "latency p50 (s)": round(float(np.percentile(lat, 50)), 3),
+                        "latency p99 (s)": round(float(np.percentile(lat, 99)), 3),
+                    }
+                )
     return pd.DataFrame(rows)
 
 
@@ -285,14 +280,13 @@ def fig11a_models(
 ) -> pd.DataFrame:
     """Fig. 11a (as a table): fine-tuning-model ablation — SVM and
     XGBoost honour the monotonic constraint, the NN does not."""
-    cat = full_catalogue("flink")
-    pattern = periodic_pattern(n_permutations=run.config.pattern_perms, seed=7)
+    cat = full_catalogue(run.config.system)
     rows = []
     for col in queries:
         wl = cat[_NEXMARK_BY_COL[col]]
         for kind in ("svm", "xgboost", "nn"):
             tuner = StreamTuneTuner(run.bundle, wl, model_kind=kind, seed=run.config.seed)
-            st = run_pattern(tuner, wl, pattern, method_name=f"st-{kind}")
+            st = run_pattern(tuner, wl, run.pattern, method_name=f"st-{kind}")
             rows.append(
                 {
                     "Query": col,
@@ -315,7 +309,7 @@ def fig11b_simcenter(
 
     from repro.graphs.similarity import similarity_center
 
-    base = list(full_catalogue("flink").values())
+    base = list(full_catalogue().values())
     rows = []
     for n in sizes:
         dags = [base[i % len(base)].dag for i in range(n)]

@@ -3,7 +3,7 @@
 One small local history with mixed node counts (3, 5, 6, 7 and 10
 operators, two 5-operator DAGs of different shape) feeds both GNN heads:
 
-- the StreamTune encoder (node head with FUSE) from ``pretrain_global``,
+- the StreamTune encoder (node head with FUSE) from ``pretrain(k=1)``,
   its training accuracy and one warm-up dataset drawn from it;
 - ZeroTune's cost model (graph head), and the costs of the 65 candidates
   one ``ZeroTuneTuner.tune`` scores.
@@ -39,7 +39,7 @@ import pytest
 import repro
 import repro.baselines.zerotune as zerotune
 from repro.baselines.zerotune import N_SAMPLES, ZeroTuneCostModel, ZeroTuneTuner
-from repro.core.pretrain import pretrain_global
+from repro.core.pretrain import pretrain
 from repro.history import generate_history_local
 from repro.sim.workloads import full_catalogue
 
@@ -78,7 +78,7 @@ def _params(gnn) -> dict[str, str]:
 def digests(monkeypatch) -> dict:
     cat = full_catalogue("flink")
     hist = generate_history_local([cat[n] for n in JOBS], n_per_workload=12, seed=4)
-    bundle = pretrain_global(hist, epochs=EPOCHS, seed=0)
+    bundle = pretrain(hist, k=1, epochs=EPOCHS, seed=0)
     h, p, y = bundle.warmup_dataset(0, max_points=60, seed=2)
     model = ZeroTuneCostModel(bundle.feature_encoder, seed=0).fit(hist, epochs=EPOCHS, seed=0)
 

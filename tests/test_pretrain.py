@@ -12,7 +12,6 @@ from repro.core.pretrain import (
     PretrainedBundle,
     op_vectors,
     pretrain,
-    pretrain_global,
     record_to_sample,
 )
 from repro.history import generate_history_local
@@ -28,7 +27,7 @@ def history():
 
 @pytest.fixture(scope="module")
 def bundle(history):
-    return pretrain_global(history, epochs=25, seed=0)
+    return pretrain(history, k=1, epochs=25, seed=0)
 
 
 class TestRecordToSample:
@@ -62,7 +61,7 @@ class TestPretrainGlobal:
         runs = []
         search = ged_mod._Search.run
         monkeypatch.setattr(ged_mod._Search, "run", lambda s, t: runs.append(t) or search(s, t))
-        b = pretrain_global(history, epochs=1, seed=0)
+        b = pretrain(history, k=1, epochs=1, seed=0)
         cat = full_catalogue("flink")
         tuners = [StreamTuneTuner(b, cat[n], seed=1) for n in ("nexmark_q1", "nexmark_q5")]
         assert len(b.centers) == 1 and [t.cluster for t in tuners] == [0, 0]
@@ -92,7 +91,7 @@ class TestPretrainClustered:
         assert bundle.feature_encoder.p_max == 100
         timely = full_catalogue("timely")["nexmark_q1"]
         hist = generate_history_local([timely], n_per_workload=4, seed=5)
-        assert pretrain_global(hist, epochs=1).feature_encoder.p_max == 12
+        assert pretrain(hist, k=1, epochs=1).feature_encoder.p_max == 12
 
 
 class TestWarmup:

@@ -1,19 +1,23 @@
-"""Tests for the evaluation-table extractors (pure logic, no tuning —
-the expensive sweeps are exercised by the benchmarks)."""
+"""Tests for the evaluation-table extractors (pure logic, no tuning),
+and for the evaluation harness on both engines at tiny knobs (the
+full-scale sweeps are exercised by the benchmarks)."""
 import pandas as pd
 import pytest
 
-from repro.core.pretrain import pretrain_global
+from repro import tables
+from repro.core.pretrain import pretrain
 from repro.core.tuner import PatternRunStats
 from repro.history import generate_history_local
 from repro.sim.workloads import nexmark_catalogue
 from repro.tables import (
-    QUERY_COLUMNS,
     EvalConfig,
     EvalRun,
     fig6_parallelism,
     fig7_reconfigurations,
+    fig7b_tuning_minutes,
+    fig8_timely,
     fig11b_simcenter,
+    run_evaluation,
     table2_source_rates,
     table3_backpressure,
 )
@@ -32,10 +36,8 @@ def _stats(job, method, bp, reconf_total, n, p10):
 def fake_run():
     cat = nexmark_catalogue("flink")
     hist = generate_history_local([cat["nexmark_q1"]], n_per_workload=10, seed=1)
-    bundle = pretrain_global(hist, epochs=2, seed=0)
+    bundle = pretrain(hist, k=1, epochs=2, seed=0)
     run = EvalRun(config=EvalConfig(), bundle=bundle)
-    run.group_sizes = {c: 1 for c in QUERY_COLUMNS} | {"Linear": 8}
-    run.jobs_per_column = {c: 1 for c in QUERY_COLUMNS} | {"Linear": 2}
     run.stats = {
         "DS2": {"Q1": [_stats("nexmark_q1", "DS2", 3, 40, 20, 25)],
                 "Linear": [_stats("pqp_linear_0", "DS2", 1, 30, 20, 30),
@@ -92,3 +94,59 @@ class TestFig11b:
         assert list(df["#DAGs"]) == [20, 40]
         assert (df["AStar+-LSa (s)"] > 0).all()
         assert (df["direct GED (s)"] >= df["AStar+-LSa (s)"] * 0.5).all()
+
+
+_METHODS = ["DS2", "ContTune", "ZeroTune", "StreamTune"]
+#: What the Flink and Timely sweeps printed at ``TestHarness``'s knobs
+#: before they became one harness.
+_RECORDED = {
+    "flink": {
+        table3_backpressure: pd.DataFrame(
+            {"Method": _METHODS, "Q5": [0, 0, "/", 2], "Linear": [0, 0, 104, 24]}
+        ),
+        fig6_parallelism: pd.DataFrame(
+            {"Method": _METHODS, "Q5": [23.0, 25.0, "/", 25.0], "Linear": [28.0, 29.0, 106.0, 40.0]}
+        ),
+        fig7_reconfigurations: pd.DataFrame(
+            {"Method": ["DS2", "ContTune", "StreamTune"], "Q5": [2.1, 1.4, 1.35], "Linear": [2.0, 1.3, 1.85]}
+        ),
+        fig7b_tuning_minutes: pd.DataFrame(
+            {"Query": ["Q5", "Linear"], "min (min)": [0.0, 10.0],
+             "mean (min)": [13.5, 18.5], "max (min)": [40.0, 40.0]}
+        ),
+    },
+    "timely": {
+        fig8_timely: pd.DataFrame(
+            {
+                "Query": ["Q3"] * 3 + ["Q5"] * 3 + ["Q8"] * 3,
+                "Method": ["DS2", "ContTune", "StreamTune"] * 3,
+                "total parallelism @10Wu": [15, 17, 9, 15, 21, 12, 15, 23, 9],
+                "bottleneck events": [0] * 9,
+                "latency p50 (s)": [0.181, 0.166, 0.217, 0.214, 0.153, 0.216, 0.171, 0.148, 0.242],
+                "latency p99 (s)": [0.212, 0.201, 0.253, 0.249, 0.185, 0.252, 0.215, 0.183, 0.290],
+            }
+        ),
+    },
+}
+
+
+class TestHarness:
+    @pytest.mark.parametrize(
+        "system, columns",
+        [("flink", ("Q5", "Linear")), ("timely", ("Q3", "Q5", "Q8"))],
+        ids=["flink", "timely"],
+    )
+    def test_tables_match_recorded(self, system, columns, monkeypatch):
+        # Narrowed the way perfbench narrows its Flink sweep: by replacing
+        # ``tables._eval_jobs`` with a one-argument filter.
+        full = tables._eval_jobs
+        monkeypatch.setattr(
+            tables, "_eval_jobs", lambda cfg: {c: n for c, n in full(cfg).items() if c in columns}
+        )
+        cfg = EvalConfig(system=system, pattern_perms=1, pqp_per_group=1,
+                         history_per_workload=20, pretrain_epochs=2, seed=3)
+        run = run_evaluation(cfg)
+        assert all(list(per_col) == list(columns) for per_col in run.stats.values())
+        for extract, want in _RECORDED[system].items():
+            got = extract(run)
+            pd.testing.assert_frame_equal(got[list(want.columns)], want, check_exact=True)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.baselines.zerotune import ZeroTuneCostModel, ZeroTuneTuner
 from repro.core import tuner as tuner_mod
-from repro.core.pretrain import pretrain_global
+from repro.core.pretrain import pretrain
 from repro.core.tuner import (
     FEEDBACK_WEIGHT,
     Deployer,
@@ -27,7 +27,7 @@ def setup():
     cat = nexmark_catalogue("flink")
     wls = [cat["nexmark_q3"], cat["nexmark_q5"], cat["nexmark_q8"]]
     hist = generate_history_local(wls, n_per_workload=150, seed=11)
-    bundle = pretrain_global(hist, epochs=35, seed=0)
+    bundle = pretrain(hist, k=1, epochs=35, seed=0)
     return cat, bundle
 
 
@@ -136,7 +136,7 @@ class TestFeedback:
         exactly as the offline history does."""
         wl = nexmark_catalogue("timely")["nexmark_q5"]
         hist = generate_history_local([wl], n_per_workload=10, seed=11)
-        t = StreamTuneTuner(pretrain_global(hist, epochs=2, seed=0), wl, seed=1)
+        t = StreamTuneTuner(pretrain(hist, k=1, epochs=2, seed=0), wl, seed=1)
         par = {o: 4 for o in wl.dag.tunable_operators()}
         probe = simulate(wl.dag, par, wl.rates(1), system="timely", seed=0).metrics["wagg"]
         rates = wl.rates(1.05 * probe.pa / probe.input_rate)
@@ -258,7 +258,7 @@ def test_tuning_leaves_the_bundle_alone():
     would corrupt the history every later tuner learns from."""
     wl = pqp_catalogue()["pqp_linear_0"]
     hist = generate_history_local([wl], n_per_workload=20, seed=11)
-    bundle = pretrain_global(hist, epochs=2, seed=0)
+    bundle = pretrain(hist, k=1, epochs=2, seed=0)
     model = ZeroTuneCostModel(bundle.feature_encoder, seed=0).fit(hist, epochs=2, seed=0)
     before = _bundle_digest(bundle)
     pattern = periodic_pattern(n_permutations=1, seed=7)

@@ -8,7 +8,7 @@ import pytest
 from repro.baselines.conttune import ContTuneTuner
 from repro.baselines.ds2 import DS2Tuner
 from repro.baselines.zerotune import ZeroTuneCostModel, ZeroTuneTuner
-from repro.core.pretrain import pretrain_global
+from repro.core.pretrain import pretrain
 from repro.core.tuner import StreamTuneTuner
 from repro.history import generate_history_local
 from repro.sim.workloads import full_catalogue
@@ -38,7 +38,7 @@ def models():
     for system, names in JOBS.items():
         cat = full_catalogue(system)
         hist = generate_history_local([cat[n] for n in names], n_per_workload=200, seed=11)
-        bundle = pretrain_global(hist, epochs=10, seed=0)
+        bundle = pretrain(hist, k=1, epochs=10, seed=0)
         pqp = [r for r in hist if r.job.startswith("pqp")]
         zt = ZeroTuneCostModel(bundle.feature_encoder, seed=0).fit(pqp, epochs=10, seed=0) if pqp else None
         out[system] = (cat, bundle, zt)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.zerotune import ZeroTuneCostModel, ZeroTuneTuner
-from repro.core.pretrain import pretrain_global
+from repro.core.pretrain import pretrain
 from repro.history import generate_history_local
 from repro.sim.engine import simulate
 from repro.sim.workloads import pqp_catalogue
@@ -14,7 +14,7 @@ def setup():
     cat = pqp_catalogue()
     wls = [cat["pqp_linear_0"], cat["pqp_2way_0"]]
     hist = generate_history_local(wls, n_per_workload=120, seed=9)
-    bundle = pretrain_global(hist, epochs=20, seed=0)
+    bundle = pretrain(hist, k=1, epochs=20, seed=0)
     model = ZeroTuneCostModel(bundle.feature_encoder, seed=0).fit(hist, epochs=40, seed=0)
     return cat, hist, model
 
