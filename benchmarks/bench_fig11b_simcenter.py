@@ -14,3 +14,4 @@ def test_bench_fig11b(benchmark):
     print("\nFig. 11b — similarity-center computation time:")
     print(df.to_string(index=False))
     assert (df["direct GED (s)"] >= df["AStar+-LSa (s)"]).all()
+    assert (df["AStar+-LSa expansions"] < df["direct expansions"]).all()

@@ -23,8 +23,11 @@ stack without that axis, through the same code. Each graph of a stack
 goes through the same per-graph matrix products and reductions as it
 would alone, so stacking changes no bit. ``GNN.fit`` splits each shuffled
 minibatch by node count, runs one stacked ``loss_grads`` per size, puts
-the graphs' gradients back in minibatch order and adds them one graph at
-a time, the order of training one graph at a time. ``sum(axis=0)`` may
+the graphs' gradients back in minibatch order, as the rows of one
+``[batch, n_params]`` buffer, and adds them one graph at a time, the
+order of training one graph at a time. The parameters are views of one
+flat vector, so one elementwise Adam step updates them all with the same
+per-element arithmetic as one array at a time. ``sum(axis=0)`` may
 add in another order and padding mixed sizes to the largest adds zeros
 into the reductions: either moves parameters in the last bits.
 ``cumsum(axis=0)[-1]`` keeps the order but costs about three times the
@@ -139,8 +142,9 @@ class GNN:
         self.params["b1"] = np.zeros(hidden)
         self.params["W2"] = g(hidden, 1)
         self.params["b2"] = np.zeros(1)
-        self._adam_m = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self._adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
+        n_params = sum(v.size for v in self.params.values())
+        self._adam_m = np.zeros(n_params)
+        self._adam_v = np.zeros(n_params)
         self._adam_t = 0
         #: Positive-class weight for node_binary BCE; set by fit().
         self.pos_weight = 1.0
@@ -275,15 +279,27 @@ class GNN:
         return loss, grads
 
     # -- optimisation ------------------------------------------------------
-    def _adam_step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+    def _flatten(self) -> tuple[np.ndarray, dict[str, slice]]:
+        """Make every parameter a view of one flat vector, in ``params``
+        order; return the vector and each parameter's slice of it."""
+        flat = np.concatenate([v.ravel() for v in self.params.values()])
+        cols: dict[str, slice] = {}
+        start = 0
+        for k, v in self.params.items():
+            cols[k] = slice(start, start + v.size)
+            self.params[k] = flat[cols[k]].reshape(v.shape)
+            start += v.size
+        return flat, cols
+
+    def _adam_step(self, flat: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        """One Adam update of the flat parameter vector ``flat``."""
         self._adam_t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        for k, g in grads.items():
-            self._adam_m[k] = b1 * self._adam_m[k] + (1 - b1) * g
-            self._adam_v[k] = b2 * self._adam_v[k] + (1 - b2) * g * g
-            mhat = self._adam_m[k] / (1 - b1**self._adam_t)
-            vhat = self._adam_v[k] / (1 - b2**self._adam_t)
-            self.params[k] -= lr * mhat / (np.sqrt(vhat) + eps)
+        self._adam_m = b1 * self._adam_m + (1 - b1) * grad
+        self._adam_v = b2 * self._adam_v + (1 - b2) * grad * grad
+        mhat = self._adam_m / (1 - b1**self._adam_t)
+        vhat = self._adam_v / (1 - b2**self._adam_t)
+        flat -= lr * mhat / (np.sqrt(vhat) + eps)
 
     def fit(
         self,
@@ -300,6 +316,9 @@ class GNN:
             n_pos = sum(int((s.y_node == 1).sum()) for s in samples)
             n_neg = sum(int((s.y_node == 0).sum()) for s in samples)
             self.pos_weight = max(1.0, n_neg / max(1, n_pos))
+        # Set up here, not once in __init__: an unpickled GNN's parameters
+        # are no longer views of one vector.
+        flat, cols = self._flatten()
         stacks = stack_by_size(samples)
         group = np.empty(len(samples), dtype=int)  # sample → its stack
         row = np.empty(len(samples), dtype=int)  # sample → its row there
@@ -308,26 +327,26 @@ class GNN:
             row[members] = np.arange(len(members))
         history: list[float] = []
         idx = np.arange(len(samples))
+        batch_grads = np.empty((BATCH_SIZE, len(flat)))  # one row per graph
         for _ in range(epochs):
             rng.shuffle(idx)
             losses: list[float] = []
             for start in range(0, len(idx), BATCH_SIZE):
                 chunk = idx[start : start + BATCH_SIZE]
                 loss = np.empty(len(chunk))
-                grads = {k: np.empty((len(chunk), *v.shape)) for k, v in self.params.items()}
+                grads = batch_grads[: len(chunk)]
                 for g in np.unique(group[chunk]):
                     sel = group[chunk] == g
                     loss[sel], part = self.loss_grads(stacks[g][1].take(row[chunk[sel]]))
                     for k, v in part.items():
-                        grads[k][sel] = v
+                        grads[sel, cols[k]] = v.reshape(len(v), -1)
                 losses.extend(loss)
                 # Add the graphs' gradients one at a time in minibatch
                 # order, the order per-graph training added them in.
-                agg = {k: v[0] for k, v in grads.items()}
+                agg = grads[0]
                 for j in range(1, len(chunk)):
-                    for k in agg:
-                        agg[k] += grads[k][j]
-                self._adam_step({k: v / len(chunk) for k, v in agg.items()}, lr)
+                    agg += grads[j]
+                self._adam_step(flat, agg / len(chunk), lr)
             history.append(float(np.mean(losses)))
         return history
 

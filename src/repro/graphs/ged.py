@@ -31,8 +31,9 @@ from .dag import DataflowDAG
 MAX_EXPANSIONS = 2_000_000
 
 
-def _as_struct(g: DataflowDAG) -> tuple[list[str], list[str], set[tuple[int, int]]]:
-    """(node ids in a search-friendly order, labels, edge set over indices)."""
+def _as_struct(g: DataflowDAG) -> tuple[list[str], set[tuple[int, int]]]:
+    """Labels of the nodes in a search-friendly order, and the edge set
+    over their indices in that order."""
     order = g.topological_order()
     deg = Counter()
     for u, v in g.edges:
@@ -43,122 +44,149 @@ def _as_struct(g: DataflowDAG) -> tuple[list[str], list[str], set[tuple[int, int
     idx = {o: i for i, o in enumerate(ids)}
     labels = [g.op(o).op_type for o in ids]
     edges = {(idx[u], idx[v]) for u, v in g.edges}
-    return ids, labels, edges
+    return labels, edges
 
 
-def _pair_cost(n1: int, same1: bool, n2: int, same2: bool) -> int:
-    """Edit cost between the (≤2) directed edges joining one node pair.
+#: Edges joining a node pair, by the pair's edge code: 0 none, 1 forward,
+#: 2 backward, 3 both.
+_N_EDGES = (0, 1, 1, 2)
 
-    ``n1``/``n2`` are how many of {forward, backward} exist on each side;
-    ``same1``/``same2`` whether the single present edge is 'forward'. A
-    reversal (same count, different direction) costs 1; otherwise the
-    count difference is paid in inserts/deletes.
-    """
-    if n1 == n2:
-        if n1 == 1 and same1 != same2:
-            return 1
-        return 0
+
+def _pair_cost(c1: int, c2: int) -> int:
+    """Edit cost between the (≤2) directed edges joining one node pair in
+    each graph, given by their edge codes. A reversal (one edge on each
+    side, in different directions) costs 1; otherwise the count
+    difference is paid in inserts/deletes."""
+    n1, n2 = _N_EDGES[c1], _N_EDGES[c2]
+    if n1 == n2 == 1 and c1 != c2:
+        return 1
     return abs(n1 - n2)
 
 
-def _edge_dirs(edges: set[tuple[int, int]], a: int, b: int) -> tuple[int, bool]:
-    fwd = (a, b) in edges
-    bwd = (b, a) in edges
-    return fwd + bwd, fwd
+_PAIR_COST = [[_pair_cost(c1, c2) for c2 in range(4)] for c1 in range(4)]
+
+
+def _edge_codes(n: int, edges: set[tuple[int, int]]) -> list[list[int]]:
+    """``codes[a][b]``: the edge code of node pair (a, b)."""
+    return [[((a, b) in edges) + 2 * ((b, a) in edges) for b in range(n)] for a in range(n)]
 
 
 class _Search:
+    """Best-first search over mappings of g1's nodes, in ``_as_struct``
+    order, to g2's nodes or to deletion.
+
+    A state at depth i maps g1's first i nodes. Its lower bound on the
+    completion cost is the label-multiset bound on the undecided nodes of
+    both graphs, plus the difference between the two graphs' counts of
+    edges with an undecided endpoint; both are admissible. The per-pair
+    tables set up here make a child's bound an update of its parent's: one
+    label count less, and the g2 edges from the new node into the used
+    set."""
+
     def __init__(self, g1: DataflowDAG, g2: DataflowDAG):
-        self.ids1, self.lab1, self.e1 = _as_struct(g1)
-        self.ids2, self.lab2, self.e2 = _as_struct(g2)
-        self.n1, self.n2 = len(self.ids1), len(self.ids2)
-        self.lab2_counts = Counter(self.lab2)
-
-    def lower_bound(self, i: int, used2: frozenset[int]) -> int:
-        """Label-multiset node bound + edge-count bound on the undecided
-        remainder. Admissible: never exceeds the true completion cost."""
-        rem1 = Counter(self.lab1[i:])
-        rem2 = self.lab2_counts - Counter(self.lab2[j] for j in used2)
-        inter = sum((rem1 & rem2).values())
-        r1, r2 = self.n1 - i, self.n2 - len(used2)
-        node_lb = max(r1, r2) - inter
-        # Edges with at least one undecided endpoint.
-        dec1 = set(range(i))
-        e1_rem = sum(1 for u, v in self.e1 if u not in dec1 or v not in dec1)
-        e2_rem = sum(1 for u, v in self.e2 if u not in used2 or v not in used2)
-        return node_lb + abs(e1_rem - e2_rem)
-
-    def extend_cost(self, mapping: tuple[int | None, ...], a: int, b: int | None) -> int:
-        """Incremental cost of mapping g1 node ``a`` to g2 node ``b`` (or
-        deleting it when ``b`` is None), given the processed prefix."""
-        cost = 0
-        if b is None:
-            cost += 1
-        elif self.lab1[a] != self.lab2[b]:
-            cost += 1
-        for c, d in enumerate(mapping):
-            k1, s1 = _edge_dirs(self.e1, c, a)
-            if b is None or d is None:
-                cost += k1  # g1 edges at this pair are deleted
-                continue
-            k2, s2 = _edge_dirs(self.e2, d, b)
-            cost += _pair_cost(k1, s1, k2, s2)
-        return cost
-
-    def goal_cost(self, mapping: tuple[int | None, ...]) -> int:
-        """Insert cost for g2 nodes/edges not covered by the mapping."""
-        used = {d for d in mapping if d is not None}
-        cost = self.n2 - len(used)
-        covered = sum(1 for u, v in self.e2 if u in used and v in used)
-        return cost + (len(self.e2) - covered)
+        lab1, e1 = _as_struct(g1)
+        lab2, e2 = _as_struct(g2)
+        self.n1, self.n2 = n1, n2 = len(lab1), len(lab2)
+        codes = {lab: c for c, lab in enumerate(sorted(set(lab1) | set(lab2)))}
+        self.lab1 = [codes[lab] for lab in lab1]
+        self.lab2 = [codes[lab] for lab in lab2]
+        # g1's label counts and edges with an undecided endpoint, per depth.
+        self.suffix1 = [[0] * len(codes) for _ in range(n1 + 1)]
+        for i in range(n1 - 1, -1, -1):
+            self.suffix1[i] = self.suffix1[i + 1][:]
+            self.suffix1[i][self.lab1[i]] += 1
+        self.edges1_rem = [sum(1 for u, v in e1 if max(u, v) >= i) for i in range(n1 + 1)]
+        self.totals2 = [self.lab2.count(c) for c in range(len(codes))]
+        self.n_edges2 = len(e2)
+        self.codes1 = _edge_codes(n1, e1)
+        self.codes2 = _edge_codes(n2, e2)
+        self.nbrs2 = [[_N_EDGES[c] for c in row] for row in self.codes2]
+        #: States popped and expanded by :meth:`run`.
+        self.expansions = 0
 
     def run(self, threshold: float | None) -> int | None:
         """Exact GED; ``None`` when a threshold is given and exceeded."""
-        start_lb = self.lower_bound(0, frozenset())
+        n1, n2, lab1, lab2, nbrs2 = self.n1, self.n2, self.lab1, self.lab2, self.nbrs2
+        n_edges2 = self.n_edges2
+        no_edges = [0] * n2  # the codes of a deleted node's pairs
+        inter = sum(map(min, self.suffix1[0], self.totals2))
+        start_lb = max(n1, n2) - inter + abs(self.edges1_rem[0] - n_edges2)
         if threshold is not None and start_lb > threshold:
             return None
         heap: list[tuple[int, int, int, tuple[int | None, ...]]] = []
         tie = itertools.count()
         heapq.heappush(heap, (start_lb, next(tie), 0, ()))
-        expansions = 0
         while heap:
             f, _, g_cost, mapping = heapq.heappop(heap)
             i = len(mapping)
-            if i == self.n1:
-                total = g_cost + self.goal_cost(mapping)
+            used = [d for d in mapping if d is not None]
+            covered = sum(nbrs2[u][v] for k, u in enumerate(used) for v in used[:k])
+            if i == n1:
+                total = g_cost + n2 - len(used) + n_edges2 - covered
                 if threshold is not None and total > threshold:
                     continue
                 return total
-            expansions += 1
-            if expansions > MAX_EXPANSIONS:
+            self.expansions += 1
+            if self.expansions > MAX_EXPANSIONS:
                 raise RuntimeError("GED search exceeded expansion budget")
-            used = frozenset(d for d in mapping if d is not None)
-            candidates: list[int | None] = [
-                j for j in range(self.n2) if j not in used
+            rem2 = self.totals2[:]
+            for d in used:
+                rem2[lab2[d]] -= 1
+            rem1 = self.suffix1[i + 1]
+            inter = sum(map(min, rem1, rem2))
+            r1, r2 = n1 - i - 1, n2 - len(used)
+            edges1_rem = self.edges1_rem[i + 1]
+            # (cost row of g1 pair (c, i), g2 codes of c's image) for each
+            # decided c whose pair with i can cost anything.
+            pairs = [
+                (_PAIR_COST[self.codes1[c][i]], no_edges if d is None else self.codes2[d])
+                for c, d in enumerate(mapping)
+                if d is not None or self.codes1[c][i]
             ]
-            candidates.append(None)
-            for b in candidates:
-                g2_cost = g_cost + self.extend_cost(mapping, i, b)
-                new_used = used | {b} if b is not None else used
-                lb = self.lower_bound(i + 1, new_used)
-                f2 = g2_cost + lb
+            used_set = set(used)
+            for b in range(n2):
+                if b in used_set:
+                    continue
+                lab = lab2[b]
+                g2_cost = g_cost + (lab1[i] != lab) + sum(cost[row[b]] for cost, row in pairs)
+                inter_b = inter - (rem1[lab] >= rem2[lab])  # one g2 label less
+                covered_b = covered + sum(nbrs2[b][u] for u in used)
+                f2 = g2_cost + max(r1, r2 - 1) - inter_b + abs(edges1_rem - (n_edges2 - covered_b))
                 if threshold is not None and f2 > threshold:
                     continue
                 heapq.heappush(heap, (f2, next(tie), g2_cost, mapping + (b,)))
+            # Delete g1 node i: its edges to decided nodes go with it.
+            g2_cost = g_cost + 1 + sum(cost[0] for cost, _ in pairs)
+            f2 = g2_cost + max(r1, r2) - inter + abs(edges1_rem - (n_edges2 - covered))
+            if threshold is not None and f2 > threshold:
+                continue
+            heapq.heappush(heap, (f2, next(tie), g2_cost, mapping + (None,)))
         return None
 
 
-def ged(g1: DataflowDAG, g2: DataflowDAG) -> int:
-    """Exact graph edit distance between two dataflow DAGs."""
-    out = _Search(g1, g2).run(threshold=None)
+def _run(g1: DataflowDAG, g2: DataflowDAG, tau: float | None, tally: GEDCache | None) -> int | None:
+    search = _Search(g1, g2)
+    d = search.run(threshold=tau)
+    if tally is not None:
+        tally.expansions += search.expansions
+    return d
+
+
+def ged(g1: DataflowDAG, g2: DataflowDAG, *, tally: GEDCache | None = None) -> int:
+    """Exact graph edit distance between two dataflow DAGs. The search's
+    expansions are added to ``tally.expansions`` when a memo is given."""
+    out = _run(g1, g2, None, tally)
     assert out is not None
     return out
 
 
-def ged_within(g1: DataflowDAG, g2: DataflowDAG, tau: float) -> int | None:
+def ged_within(
+    g1: DataflowDAG, g2: DataflowDAG, tau: float, *, tally: GEDCache | None = None
+) -> int | None:
     """GED if ≤ ``tau`` else None — the pruned (AStar+-LSa-style)
-    verification used by graph similarity search."""
-    return _Search(g1, g2).run(threshold=tau)
+    verification used by graph similarity search. ``tally`` as for
+    :func:`ged`."""
+    return _run(g1, g2, tau, tally)
 
 
 class GEDCache:
@@ -172,12 +200,14 @@ class GEDCache:
     runs the pruned :func:`ged_within`: a hit is the exact GED, a miss is
     remembered as "GED > τ". An exact query runs :func:`ged` at most once
     per pair. The memo never changes an answer, only how often it is
-    computed; ``misses`` counts the exact searches it ran."""
+    computed; ``misses`` counts the exact searches it ran, and
+    ``expansions`` the A* states expanded by every search it ran."""
 
     def __init__(self) -> None:
         self._exact: dict[tuple[str, str], int] = {}
         self._above: dict[tuple[str, str], float] = {}  # GED > this τ
         self.misses = 0
+        self.expansions = 0
 
     @staticmethod
     def _pair(g1: DataflowDAG, g2: DataflowDAG) -> tuple[str, str] | None:
@@ -193,7 +223,7 @@ class GEDCache:
         d = self._exact.get(pair)
         if d is None:
             self.misses += 1
-            d = self._exact[pair] = ged(g1, g2)
+            d = self._exact[pair] = ged(g1, g2, tally=self)
         return d
 
     def within(self, g1: DataflowDAG, g2: DataflowDAG, tau: float) -> int | None:
@@ -203,7 +233,7 @@ class GEDCache:
         if d is None:
             if self._above.get(pair, -math.inf) >= tau:
                 return None
-            d = ged_within(g1, g2, tau)
+            d = ged_within(g1, g2, tau, tally=self)
             if d is None:
                 self._above[pair] = tau
                 return None

@@ -1,13 +1,17 @@
 """Unit tests for Graph Edit Distance: exact values on hand-built DAGs,
 metric properties, threshold pruning, and the memo."""
+import heapq
 import itertools
+import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.dag import DataflowDAG, Operator
-from repro.graphs.ged import GEDCache, ged, ged_within
+from repro.graphs.ged import GEDCache, _as_struct, _Search, ged, ged_within
 from repro.sim.workloads import full_catalogue
 
 
@@ -93,8 +97,8 @@ _TYPES = ["map", "filter", "join", "aggregate"]
 
 
 @st.composite
-def small_dag(draw):
-    n = draw(st.integers(2, 4))
+def small_dag(draw, max_nodes=4):
+    n = draw(st.integers(2, max_nodes))
     types = [draw(st.sampled_from(_TYPES)) for _ in range(n)]
     ops = [Operator(f"o{i}", t) for i, t in enumerate(types)]
     edges = []
@@ -103,6 +107,65 @@ def small_dag(draw):
         if draw(st.booleans()):
             edges.append((f"o{i}", f"o{j}"))
     return DataflowDAG("h", ops, list(set(edges)))
+
+
+def _reference_search(g1, g2, tau):
+    """The A* search recomputing every bound from scratch from label
+    multisets and edge scans: (answer, states expanded)."""
+    lab1, e1 = _as_struct(g1)
+    lab2, e2 = _as_struct(g2)
+    n1, n2 = len(lab1), len(lab2)
+
+    def lower_bound(i, used):
+        inter = sum((Counter(lab1[i:]) & (Counter(lab2) - Counter(lab2[j] for j in used))).values())
+        e1_rem = sum(1 for u, v in e1 if u >= i or v >= i)
+        e2_rem = sum(1 for u, v in e2 if u not in used or v not in used)
+        return max(n1 - i, n2 - len(used)) - inter + abs(e1_rem - e2_rem)
+
+    def dirs(edges, a, b):
+        return ((a, b) in edges) + ((b, a) in edges), (a, b) in edges
+
+    def extend_cost(mapping, a, b):
+        cost = 1 if b is None or lab1[a] != lab2[b] else 0
+        for c, d in enumerate(mapping):
+            k1, s1 = dirs(e1, c, a)
+            if b is None or d is None:
+                cost += k1
+                continue
+            k2, s2 = dirs(e2, d, b)
+            cost += 1 if k1 == k2 == 1 and s1 != s2 else abs(k1 - k2)
+        return cost
+
+    start = lower_bound(0, frozenset())
+    if tau is not None and start > tau:
+        return None, 0
+    heap, tie, expansions = [(start, 0, 0, ())], itertools.count(1), 0
+    while heap:
+        _, _, g, mapping = heapq.heappop(heap)
+        used = frozenset(d for d in mapping if d is not None)
+        i = len(mapping)
+        if i == n1:
+            total = g + n2 - len(used) + sum(1 for u, v in e2 if u not in used or v not in used)
+            if tau is None or total <= tau:
+                return total, expansions
+            continue
+        expansions += 1
+        for b in [j for j in range(n2) if j not in used] + [None]:
+            g2 = g + extend_cost(mapping, i, b)
+            f2 = g2 + lower_bound(i + 1, used | {b} if b is not None else used)
+            if tau is None or f2 <= tau:
+                heapq.heappush(heap, (f2, next(tie), g2, mapping + (b,)))
+    return None, expansions
+
+
+class TestReferenceSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(small_dag(max_nodes=6), small_dag(max_nodes=6), st.sampled_from([None, 1, 3]))
+    def test_same_answers_and_expansions(self, g1, g2, tau):
+        """The incremental bounds prune and expand exactly like bounds
+        recomputed from scratch."""
+        search = _Search(g1, g2)
+        assert (search.run(threshold=tau), search.expansions) == _reference_search(g1, g2, tau)
 
 
 class TestMetricProperties:
@@ -132,10 +195,14 @@ class TestCache:
         cache = GEDCache()
         assert cache(g1, g2) == 1
         assert cache.misses == 1
+        search = _Search(g1, g2)
+        search.run(threshold=None)
+        assert cache.expansions == search.expansions > 0
         assert cache(g1b, g2) == 1  # canonical-key hit
         assert cache.misses == 1
         assert cache(g1, g1b) == 0  # identical structures short-circuit
         assert cache.misses == 1
+        assert cache.expansions == search.expansions
 
     def test_cache_correctness(self):
         g1 = chain("a", ["source", "map", "sink"])
@@ -187,3 +254,35 @@ class TestMemo:
         assert memo(a, c) == 7
         assert memo.missing([a, b], [c]) == [(b, c)]
 
+
+
+def golden_structures() -> list[tuple[str, DataflowDAG]]:
+    """One (workload name, DAG) per distinct structure of the Flink and
+    Timely catalogues, first by system, then by name."""
+    seen: dict[str, tuple[str, DataflowDAG]] = {}
+    for system in ("flink", "timely"):
+        for name, wl in sorted(full_catalogue(system).items()):
+            seen.setdefault(wl.dag.canonical_key(), (name, wl.dag))
+    return list(seen.values())
+
+
+def golden_answers() -> dict[str, dict[str, list]]:
+    """Per unordered pair of distinct structures: the exact GED and the
+    within-τ answers at τ = 5 and τ = 2, each with its A* expansions."""
+    out = {}
+    for (n1, g1), (n2, g2) in itertools.combinations(golden_structures(), 2):
+        row = {}
+        for label, tau in (("ged", None), ("within_5", 5), ("within_2", 2)):
+            search = _Search(g1, g2)
+            row[label] = [search.run(threshold=tau), search.expansions]
+        out[f"{n1}|{n2}"] = row
+    return out
+
+
+def test_ged_golden():
+    """Every answer and every expansion count of the search, pinned: a
+    faster bound must prune and expand exactly as before."""
+    golden = json.loads(Path(__file__).with_name("ged_golden.json").read_text())
+    n = len(golden_structures())
+    assert len(golden) == n * (n - 1) // 2
+    assert golden_answers() == golden

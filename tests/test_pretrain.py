@@ -174,15 +174,15 @@ class TestPretrainGolden:
         def pair(a, b):
             return frozenset((a.canonical_key(), b.canonical_key()))
 
-        def counting_ged(a, b):
+        def counting_ged(a, b, **kw):
             exact[pair(a, b)] += 1
             known.add(pair(a, b))
-            return ged(a, b)
+            return ged(a, b, **kw)
 
-        def counting_within(a, b, tau):
+        def counting_within(a, b, tau, **kw):
             if pair(a, b) in known:
                 repeats.append(pair(a, b))
-            d = ged_within(a, b, tau)
+            d = ged_within(a, b, tau, **kw)
             if d is not None:
                 known.add(pair(a, b))
             return d

@@ -94,6 +94,7 @@ class TestFig11b:
         assert list(df["#DAGs"]) == [20, 40]
         assert (df["AStar+-LSa (s)"] > 0).all()
         assert (df["direct GED (s)"] >= df["AStar+-LSa (s)"] * 0.5).all()
+        assert (df["AStar+-LSa expansions"] < df["direct expansions"]).all()
 
 
 _METHODS = ["DS2", "ContTune", "ZeroTune", "StreamTune"]
@@ -131,6 +132,25 @@ _RECORDED = {
 
 
 class TestHarness:
+    def test_zerotune_trains_on_the_jobs_it_tunes(self, monkeypatch):
+        """One rule picks ZeroTune's jobs: the history its cost model is
+        fitted on covers exactly the jobs it then tunes."""
+        trained, tuned = set(), set()
+
+        def fit(model, records, **kw):
+            trained.update(r.job for r in records)
+            return model
+
+        def fake_run_pattern(tuner, wl, pattern, method_name):
+            if method_name == "ZeroTune":
+                tuned.add(wl.name)
+
+        monkeypatch.setattr(tables.ZeroTuneCostModel, "fit", fit)
+        monkeypatch.setattr(tables, "run_pattern", fake_run_pattern)
+        run_evaluation(EvalConfig(pattern_perms=1, pqp_per_group=1, history_per_workload=2,
+                                  pretrain_epochs=1))
+        assert trained == tuned == {"pqp_linear_0", "pqp_2way_0", "pqp_3way_0"}
+
     @pytest.mark.parametrize(
         "system, columns",
         [("flink", ("Q5", "Linear")), ("timely", ("Q3", "Q5", "Q8"))],
