@@ -53,16 +53,13 @@ from pyspark.sql import SparkSession  # noqa: E402
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
+    """One classic local-mode SparkSession for the whole test session
+    (the fan-outs are RDDs, which Spark Connect lacks).
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Arrow, which is honoured post-launch, is set here.
+    pre-JVM-launch).
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
+    s = SparkSession.builder.appName("repro").getOrCreate()
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

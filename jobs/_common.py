@@ -7,11 +7,8 @@ from pyspark.sql import SparkSession
 
 
 def get_spark(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
+    """A classic (not Spark Connect) session: the fan-outs are RDDs."""
+    return SparkSession.builder.appName(app).getOrCreate()
 
 
 def eval_args(description: str) -> argparse.Namespace:

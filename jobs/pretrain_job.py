@@ -1,7 +1,8 @@
 """Offline pre-training as a Spark job: generate the execution history
-with a distributed `mapInPandas` sweep, cluster the dataflow DAGs by
-GED (distributed assignment step), and pre-train one GNN encoder per
-cluster. Prints cluster composition and training accuracy.
+with a distributed sweep (an RDD of config indices), cluster the
+dataflow DAGs by GED (distributed assignment step), and pre-train one
+GNN encoder per cluster. Prints cluster composition and training
+accuracy.
 
 Usage: spark-submit jobs/pretrain_job.py [--history 250]
 """

@@ -10,9 +10,9 @@ across calls: ``pretrain`` hands the same one to ``elbow_k``, the final
 ``kmeans_ged`` and the similarity centers inside both, so each distinct
 pair of structures costs at most one exact GED per pre-training. The
 assignment step can fan out over Spark (``assign_with_spark``); it then
-computes only the (structure, center) distances the memo lacks, sending
-each worker an index into those pairs, which travel pickled with the
-worker function, and starts no job when it lacks none.
+computes only the (structure, center) distances the memo lacks, as an
+RDD of indices into those pairs, which travel pickled with the worker
+function, and starts no job when it lacks none.
 
 ``elbow_k`` picks k by the elbow method (max second difference of the
 within-cluster distance curve), as in the paper's pre-training setup.
@@ -64,22 +64,17 @@ def assign_with_spark(
     memo: GEDCache | None = None,
 ) -> tuple[list[int], float]:
     """Distributed assignment step: the (structure, center) GEDs the memo
-    lacks are computed in parallel with ``mapInPandas`` over one column of
-    pair indices, the pairs pickled with the worker function, and stored
-    in the memo; the assignment is then read from the memo exactly as
+    lacks are computed in parallel over an RDD of pair indices, the pairs
+    pickled with the worker function, and stored in the memo; the
+    assignment is then read from the memo exactly as
     :func:`_assign_local` does."""
     memo = GEDCache() if memo is None else memo
     todo = memo.missing(graphs, centers)
     if todo:
-        import pandas as pd
-
-        def _compute(batches):
-            for b in batches:
-                yield pd.DataFrame({"id": b["id"], "dist": [ged(*todo[i]) for i in b["id"]]})
-
-        res = spark.range(len(todo)).mapInPandas(_compute, schema="id long, dist long").toPandas()
-        for i, d in zip(res["id"], res["dist"]):
-            memo.put(*todo[i], int(d))
+        sc = spark.sparkContext
+        ids = sc.parallelize(range(len(todo)), sc.defaultParallelism)
+        for pair, d in zip(todo, ids.map(lambda i: ged(*todo[i])).collect()):
+            memo.put(*pair, d)
     return _assign_local(graphs, centers, memo, counts)
 
 

@@ -23,7 +23,7 @@ import itertools
 import math
 from collections import Counter
 
-from .dag import DataflowDAG
+from .dag import OPERATOR_TYPES, DataflowDAG
 
 #: Safety valve: exact GED search aborts past this many expansions. Far
 #: above anything the <20-node workload DAGs need; prevents pathological
@@ -35,16 +35,11 @@ def _as_struct(g: DataflowDAG) -> tuple[list[str], set[tuple[int, int]]]:
     """Labels of the nodes in a search-friendly order, and the edge set
     over their indices in that order."""
     order = g.topological_order()
-    deg = Counter()
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
+    deg = Counter(o for e in g.edges for o in e)
     # High-degree nodes first: their edge constraints prune earliest.
     ids = sorted(order, key=lambda o: (-deg[o], order.index(o)))
     idx = {o: i for i, o in enumerate(ids)}
-    labels = [g.op(o).op_type for o in ids]
-    edges = {(idx[u], idx[v]) for u, v in g.edges}
-    return labels, edges
+    return [g.op(o).op_type for o in ids], {(idx[u], idx[v]) for u, v in g.edges}
 
 
 #: Edges joining a node pair, by the pair's edge code: 0 none, 1 forward,
@@ -71,6 +66,31 @@ def _edge_codes(n: int, edges: set[tuple[int, int]]) -> list[list[int]]:
     return [[((a, b) in edges) + 2 * ((b, a) in edges) for b in range(n)] for a in range(n)]
 
 
+#: Each structure's search set-up (see :func:`_setup`), by canonical key.
+_SETUPS: dict[str, tuple] = {}
+
+
+def _setup(g: DataflowDAG) -> tuple:
+    """The search tables of one structure, over its nodes in ``_as_struct``
+    order: label codes (indices into ``OPERATOR_TYPES``), the label counts
+    and the number of edges with an endpoint from each depth on, and each
+    node pair's edge code and edge count. They depend only on the labels
+    and edges over topological positions, which the canonical key fixes,
+    so each structure's tables are built once."""
+    key = g.canonical_key()
+    if key not in _SETUPS:
+        types, edges = _as_struct(g)
+        labels = [OPERATOR_TYPES.index(t) for t in types]
+        suffix = [[0] * len(OPERATOR_TYPES)]
+        for lab in reversed(labels):
+            suffix.insert(0, suffix[0][:])
+            suffix[0][lab] += 1
+        edges_rem = [sum(1 for u, v in edges if max(u, v) >= i) for i in range(len(labels) + 1)]
+        codes = _edge_codes(len(labels), edges)
+        _SETUPS[key] = labels, suffix, edges_rem, codes, [[_N_EDGES[c] for c in r] for r in codes]
+    return _SETUPS[key]
+
+
 class _Search:
     """Best-first search over mappings of g1's nodes, in ``_as_struct``
     order, to g2's nodes or to deletion.
@@ -78,29 +98,22 @@ class _Search:
     A state at depth i maps g1's first i nodes. Its lower bound on the
     completion cost is the label-multiset bound on the undecided nodes of
     both graphs, plus the difference between the two graphs' counts of
-    edges with an undecided endpoint; both are admissible. The per-pair
-    tables set up here make a child's bound an update of its parent's: one
-    label count less, and the g2 edges from the new node into the used
-    set."""
+    edges with an undecided endpoint; both are admissible. The two
+    structures' :func:`_setup` tables make a child's bound an update of
+    its parent's: one label count less, and the g2 edges from the new node
+    into the used set."""
 
     def __init__(self, g1: DataflowDAG, g2: DataflowDAG):
-        lab1, e1 = _as_struct(g1)
-        lab2, e2 = _as_struct(g2)
-        self.n1, self.n2 = n1, n2 = len(lab1), len(lab2)
-        codes = {lab: c for c, lab in enumerate(sorted(set(lab1) | set(lab2)))}
-        self.lab1 = [codes[lab] for lab in lab1]
-        self.lab2 = [codes[lab] for lab in lab2]
-        # g1's label counts and edges with an undecided endpoint, per depth.
-        self.suffix1 = [[0] * len(codes) for _ in range(n1 + 1)]
-        for i in range(n1 - 1, -1, -1):
-            self.suffix1[i] = self.suffix1[i + 1][:]
-            self.suffix1[i][self.lab1[i]] += 1
-        self.edges1_rem = [sum(1 for u, v in e1 if max(u, v) >= i) for i in range(n1 + 1)]
-        self.totals2 = [self.lab2.count(c) for c in range(len(codes))]
-        self.n_edges2 = len(e2)
-        self.codes1 = _edge_codes(n1, e1)
-        self.codes2 = _edge_codes(n2, e2)
-        self.nbrs2 = [[_N_EDGES[c] for c in row] for row in self.codes2]
+        lab1, suffix1, self.edges1_rem, self.codes1, _ = _setup(g1)
+        lab2, suffix2, edges2_rem, self.codes2, self.nbrs2 = _setup(g2)
+        # Label counts over the pair's own labels only: the bound sums
+        # over them once per popped state.
+        cols = sorted(set(lab1) | set(lab2))
+        pos = {c: j for j, c in enumerate(cols)}
+        self.lab1, self.lab2 = [pos[c] for c in lab1], [pos[c] for c in lab2]
+        self.suffix1 = [[row[c] for c in cols] for row in suffix1]
+        self.totals2, self.n_edges2 = [suffix2[0][c] for c in cols], edges2_rem[0]
+        self.n1, self.n2 = len(lab1), len(lab2)
         #: States popped and expanded by :meth:`run`.
         self.expansions = 0
 

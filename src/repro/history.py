@@ -2,17 +2,16 @@
 
 Real DSPS deployments accumulate histories of (dataflow DAG, source
 rates, parallelism degrees) → per-operator metrics. We generate them by
-fanning simulator deployments out over Spark with ``mapInPandas`` —
-exactly the kind of embarrassingly parallel sweep Spark is good at. A
-record holds its workload's own :class:`DataflowDAG`. The sweep's only
-column is a config index: the configs themselves travel pickled with the
-worker function, which returns each config's Algorithm 1 labels and job
-latency, and the driver builds the records from its own configs, in
-config order: the same list the pure-local generator (small unit tests,
-small sweeps) returns. The index is not shuffled: ``spark.range``
-already slices it into one contiguous partition per default-parallelism
-core, and a round-robin repartition on top cost more than the
-simulations themselves.
+fanning simulator deployments out over Spark — exactly the kind of
+embarrassingly parallel sweep Spark is good at. A record holds its
+workload's own :class:`DataflowDAG`. The sweep is an RDD of config
+indices, sliced into one contiguous partition per default-parallelism
+core: the configs themselves travel pickled with the worker function,
+which yields each config's Algorithm 1 labels and job latency, and
+``collect`` returns the partitions in order, so the driver zips the
+results with its own configs: the same list the pure-local generator
+(small unit tests, small sweeps) returns. No DataFrame is involved, so a
+worker loads neither pandas nor Arrow.
 
 Per the paper: source rates are drawn from (1·W_u, 10·W_u) and are
 disjoint from the integer multipliers used during tuning; parallelism
@@ -24,7 +23,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 
 from repro.core.bottleneck import label_operators, saturated_ops
 from repro.graphs.dag import DataflowDAG
@@ -103,16 +101,9 @@ def _configs(
     for w_i, wl in enumerate(workloads):
         mults = pretrain_rates(n_per_workload, seed=seed + 17 * w_i)
         rng = np.random.default_rng(seed + 1000 + w_i)
+        p_hi = min(PRETRAIN_P_RANGE[1], wl.p_max) + 1
         for j, mult in enumerate(mults):
-            par = {
-                oid: int(
-                    rng.integers(
-                        PRETRAIN_P_RANGE[0],
-                        min(PRETRAIN_P_RANGE[1], wl.p_max) + 1,
-                    )
-                )
-                for oid in wl.dag.tunable_operators()
-            }
+            par = {oid: int(rng.integers(PRETRAIN_P_RANGE[0], p_hi)) for oid in wl.dag.tunable_operators()}
             cfgs.append((wl.name, wl.dag, wl.system, wl.rates(mult), par, seed + j))
     return cfgs
 
@@ -125,33 +116,20 @@ def generate_history_local(
 
 
 def generate_history(
-    spark,
-    workloads: list[Workload],
-    *,
-    n_per_workload: int = 40,
-    seed: int = 11,
+    spark, workloads: list[Workload], *, n_per_workload: int = 40, seed: int = 11
 ) -> list[HistoryRecord]:
-    """Spark-parallel history generation: ``mapInPandas`` over one column
+    """Spark-parallel history generation: ``mapPartitions`` over an RDD
     of config indices, the configs pickled with the worker function (Spark
-    broadcasts it when large), each worker returning the labels and job
-    latency of its configs; the records come back in config order (equal
-    to :func:`generate_history_local`)."""
+    broadcasts it when large), each worker yielding the labels and job
+    latency of its configs in order; the records come back in config order
+    (equal to :func:`generate_history_local`)."""
     cfgs = _configs(workloads, n_per_workload, seed)
 
-    def _run(batches):
-        for b in batches:
-            recs = [_deploy_and_label(*cfgs[i]) for i in b["id"]]
-            yield pd.DataFrame(
-                {
-                    "id": b["id"],
-                    "labels_json": [json.dumps(r.labels) for r in recs],
-                    "job_latency": [r.job_latency for r in recs],
-                }
-            )
+    def _run(ids):
+        for i in ids:
+            rec = _deploy_and_label(*cfgs[i])
+            yield rec.labels, rec.job_latency
 
-    schema = "id long, labels_json string, job_latency double"
-    out = spark.range(len(cfgs)).mapInPandas(_run, schema=schema).toPandas().sort_values("id")
-    return [
-        HistoryRecord(*cfgs[i][:5], json.loads(lj), float(lat))
-        for i, lj, lat in zip(out["id"], out["labels_json"], out["job_latency"])
-    ]
+    sc = spark.sparkContext
+    out = sc.parallelize(range(len(cfgs)), sc.defaultParallelism).mapPartitions(_run).collect()
+    return [HistoryRecord(*cfg[:5], labels, lat) for cfg, (labels, lat) in zip(cfgs, out)]

@@ -1,5 +1,12 @@
 """Tests for execution-history generation, incl. Spark/local parity."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.history import (
     generate_history,
@@ -7,7 +14,7 @@ from repro.history import (
     job_latency_proxy,
 )
 from repro.sim.engine import simulate, unit_rate
-from repro.sim.workloads import nexmark_catalogue
+from repro.sim.workloads import full_catalogue, nexmark_catalogue
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +64,9 @@ class TestLocalGeneration:
 class TestSparkGeneration:
     @pytest.mark.parametrize("system", ["flink", "timely"])
     def test_parity_with_local(self, spark, system):
-        """The distributed mapInPandas sweep must produce exactly the
-        same records as the local generator, in the same order
-        (pre-training depends on record order), each holding its
+        """The distributed sweep, an RDD of config indices, must produce
+        exactly the same records as the local generator, in the same
+        order (pre-training depends on record order), each holding its
         workload's own DAG, on either engine."""
         cat = nexmark_catalogue(system)
         wls = [cat["nexmark_q3"], cat["nexmark_q5"]]
@@ -69,6 +76,35 @@ class TestSparkGeneration:
         assert dist == local
         by_name = {wl.name: wl for wl in wls}
         assert all(r.dag is by_name[r.job].dag for r in dist)
+
+    def test_parity_over_the_catalogue(self, spark):
+        """All 61 Flink jobs, 2 configs each: on 4 cores the 122 indices
+        split 30/31/30/31 over the partitions, and the records still come
+        back in config order."""
+        wls = list(full_catalogue("flink").values())
+        assert len(wls) == 61
+        local = generate_history_local(wls, n_per_workload=2, seed=5)
+        dist = generate_history(spark, wls, n_per_workload=2, seed=5)
+        assert [r.to_row() for r in dist] == [r.to_row() for r in local]
+        assert dist == local
+
+
+def test_fan_out_modules_load_no_pandas():
+    """A Spark worker that unpickles a fan-out's function imports its
+    module; neither module may pull in pandas or Arrow, whose start-up
+    the RDD fan-outs avoid."""
+    code = (
+        "import sys, repro.history, repro.graphs.clustering; "
+        "print(sorted({'pandas', 'pyarrow'} & set(sys.modules)))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
 
 
 class TestLatencyProxy:
