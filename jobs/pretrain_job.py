@@ -1,7 +1,9 @@
 """Offline pre-training as a Spark job: generate the execution history
 with a distributed sweep (an RDD of config indices), cluster the
-dataflow DAGs by GED (distributed assignment step), and pre-train one
-GNN encoder per cluster. Prints cluster composition and training
+dataflow DAGs by GED on the driver, and pre-train one GNN encoder per
+cluster. The session also reaches the k-means assignment step, but that
+step starts no Spark job: the final k-means repeats a run the elbow
+already made, so every distance it needs is in the shared GED memo. Prints cluster composition and training
 accuracy.
 
 Usage: spark-submit jobs/pretrain_job.py [--history 250]

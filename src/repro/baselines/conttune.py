@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from repro.baselines.ds2 import MIN_BUSY, estimate_true_rate, reactive_tune
-from repro.core.tuner import Deployer, TuneProcessResult
+from repro.core.tuner import Deployer, TuningProcess
 from repro.sim.engine import SimResult
 from repro.sim.workloads import Workload
 
@@ -109,6 +109,6 @@ class ContTuneTuner:
             for oid in self.wl.dag.tunable_operators()
         }
 
-    def tune(self, current: dict[str, int], rates: dict[str, float]) -> TuneProcessResult:
+    def tune(self, current: dict[str, int], rates: dict[str, float]) -> TuningProcess:
         obs = self._observe(current, rates)  # triggering observation
         return reactive_tune(self, current, rates, obs, self._recommend)[0]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from repro.core.features import upstream_rates
-from repro.core.tuner import Deployer, TuneProcessResult, TuningProcess
+from repro.core.tuner import Deployer, TuningProcess
 from repro.sim.engine import PROFILES, SimResult
 from repro.sim.workloads import Workload
 
@@ -34,7 +34,7 @@ def estimate_true_rate(m) -> float:
     return m.observed_rate / max(m.observed_busy, MIN_BUSY)
 
 
-def reactive_tune(tuner, current, rates, obs, recommend) -> tuple[TuneProcessResult, SimResult]:
+def reactive_tune(tuner, current, rates, obs, recommend) -> tuple[TuningProcess, SimResult]:
     """The reactive loop of DS2 and ContTune: redeploy the recommendation
     until it stops changing, at most MAX_ITERS times.
 
@@ -42,7 +42,7 @@ def reactive_tune(tuner, current, rates, obs, recommend) -> tuple[TuneProcessRes
     ``recommend(par, obs, tgt)`` maps the deployed parallelism, the latest
     observation and the targets (the *full* source rates propagated through
     the DAG, however throttled ``obs`` is) to the next recommendation;
-    ``tuner._observe`` deploys it. Returns the outcome and the last observation."""
+    ``tuner._observe`` deploys it. Returns the process and the last observation."""
     proc = TuningProcess(tuner._observe, current, rates)
     tgt = upstream_rates(tuner.wl.dag, rates)
     for _ in range(MAX_ITERS):
@@ -50,7 +50,7 @@ def reactive_tune(tuner, current, rates, obs, recommend) -> tuple[TuneProcessRes
         if not proc.changes(rec):
             break
         obs = proc.to(rec)
-    return proc.result(tuner.wl.dag.tunable_operators()), obs
+    return proc.finish(tuner.wl.dag.tunable_operators()), obs
 
 
 class DS2Tuner:
@@ -87,10 +87,10 @@ class DS2Tuner:
             rec[oid] = int(min(max(1, p), p_max))
         return rec
 
-    def tune(self, current: dict[str, int], rates: dict[str, float]) -> TuneProcessResult:
+    def tune(self, current: dict[str, int], rates: dict[str, float]) -> TuningProcess:
         if not PROFILES[self.wl.system].backpressure and self._stale_obs is not None:
             obs = self._stale_obs  # no fresh trigger signal on Timely
         else:
             obs = self._observe(current, rates)  # triggering observation (not counted)
-        out, self._stale_obs = reactive_tune(self, current, rates, obs, self._recommend)
-        return out
+        proc, self._stale_obs = reactive_tune(self, current, rates, obs, self._recommend)
+        return proc

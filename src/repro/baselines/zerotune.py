@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.features import FeatureEncoder, adjacency
 from repro.core.gnn import GNN, GraphSample
 from repro.core.pretrain import record_to_sample
-from repro.core.tuner import Deployer, TuneProcessResult, TuningProcess
+from repro.core.tuner import Deployer, TuningProcess
 from repro.graphs.dag import DataflowDAG
 from repro.history import HistoryRecord
 from repro.sim.workloads import Workload
@@ -77,7 +77,7 @@ class ZeroTuneTuner:
         self.seed = seed
         self._deployer = Deployer(workload, seed, 27644437)
 
-    def tune(self, current: dict[str, int], rates: dict[str, float]) -> TuneProcessResult:
+    def tune(self, current: dict[str, int], rates: dict[str, float]) -> TuningProcess:
         rng = np.random.default_rng(self.seed + 31 * self._deployer.n)
         ops = self.wl.dag.tunable_operators()
         candidates: list[dict[str, int]] = [dict(current)]
@@ -88,4 +88,4 @@ class ZeroTuneTuner:
         costs = self.model.costs(self.wl.dag, rates, candidates)
         proc = TuningProcess(self._deployer, current, rates)
         proc.to(candidates[int(np.argmin(costs))])
-        return proc.result(ops)
+        return proc.finish(ops)

@@ -64,21 +64,6 @@ TRIM_COOLDOWN_VISITS = 2
 REFIT_MIN_NEW = 12
 
 
-@dataclass
-class TuneProcessResult:
-    """Outcome of one tuning process (one source-rate change)."""
-
-    final_parallelism: dict[str, int]
-    n_reconfigs: int
-    backpressure_events: int
-    converged: bool = True
-
-    @property
-    def tuning_minutes(self) -> float:
-        """Virtual tuning time: one stabilisation wait per reconfiguration."""
-        return self.n_reconfigs * STABILISATION_MINUTES
-
-
 class Deployer:
     """A tuner's only call to the engine. The n-th deployment (n from 1)
     runs with seed ``seed + stride·n``: every method deploys on the same
@@ -95,14 +80,19 @@ class Deployer:
 
 
 class TuningProcess:
-    """One tuning process through ``deploy(par, rates)``: the deployed
-    parallelism and the two counts the methods are compared by —
-    reconfigurations (Fig. 7a) and backpressure events (Table III)."""
+    """One tuning process through ``deploy(par, rates)`` and its outcome:
+    the deployed parallelism and the two counts the methods are compared
+    by — reconfigurations (Fig. 7a) and backpressure events (Table III)."""
 
     def __init__(self, deploy, current: dict[str, int], rates: dict[str, float]) -> None:
         self.deploy, self.rates = deploy, rates
         self.par = dict(current)
-        self.reconfigs = self.bp_events = 0
+        self.n_reconfigs = self.backpressure_events = 0
+
+    @property
+    def tuning_minutes(self) -> float:
+        """Virtual tuning time: one stabilisation wait per reconfiguration."""
+        return self.n_reconfigs * STABILISATION_MINUTES
 
     def changes(self, target: dict[str, int]) -> bool:
         """True when ``target`` changes a degree (an undeployed one is 1)."""
@@ -111,17 +101,32 @@ class TuningProcess:
     def to(self, target: dict[str, int]) -> SimResult:
         """Deploy ``par | target``: a reconfiguration if it changes a degree,
         a backpressure event (even if unchanged) if the job backpressures."""
-        self.reconfigs += self.changes(target)
+        self.n_reconfigs += self.changes(target)
         self.par = self.par | target
         res = self.deploy(self.par, self.rates)
         if res.job_backpressure:
-            self.bp_events += 1
+            self.backpressure_events += 1
         return res
 
-    def result(self, ops, converged: bool = True) -> TuneProcessResult:
-        """The outcome over operators ``ops``."""
-        par = {o: self.par.get(o, 1) for o in ops}
-        return TuneProcessResult(par, self.reconfigs, self.bp_events, converged)
+    def finish(self, ops, converged: bool = True) -> TuningProcess:
+        """Fix the outcome over operators ``ops``; returns the process."""
+        self.final_parallelism = {o: self.par.get(o, 1) for o in ops}
+        self.converged = converged
+        return self
+
+
+@dataclass
+class _AtRate:
+    """What StreamTune has learnt at one source-rate vector."""
+
+    #: the verified-safe minimal configuration, once one is found
+    safe: dict[str, int] | None = None
+    #: highest parallelism observed to bottleneck, per op: monotonicity
+    #: makes anything at or below it unsafe
+    floor: dict[str, int] = field(default_factory=dict)
+    visits: int = 0
+    #: visits left in the trim cooldown
+    cooldown: int = 0
 
 
 class StreamTuneTuner:
@@ -147,14 +152,7 @@ class StreamTuneTuner:
         self._y: list[int] = list(np.asarray(y))
         #: sample weights: 1 per warm-up point, FEEDBACK_WEIGHT per ΔT point
         self._w: list[float] = [1.0] * len(self._y)
-        self._visit_count: dict[tuple, int] = {}
-        #: Verified-safe minimal configuration per rate vector.
-        self._memo: dict[tuple, dict[str, int]] = {}
-        #: Highest parallelism observed to bottleneck, per (rate, op):
-        #: monotonicity makes anything at or below it unsafe.
-        self._unsafe_floor: dict[tuple, dict[str, int]] = {}
-        #: Visits left in the trim cooldown, per rate key.
-        self._trim_cooldown: dict[tuple, int] = {}
+        self._rates: dict[tuple, _AtRate] = {}
         self._deployer = Deployer(workload, seed, 7919)
         #: Model cache: refit only when T has grown meaningfully.
         self._model = None
@@ -187,8 +185,9 @@ class StreamTuneTuner:
         )
         return {oid: vecs[i] for i, oid in enumerate(order)}
 
-    def _collect_feedback(self, rates: dict[str, float], result, emb) -> None:
-        """ΔT from the deployed configuration (Alg. 2, lines 10–11).
+    def _collect_feedback(self, result, emb, floor: dict[str, int]) -> None:
+        """ΔT from the deployed configuration (Alg. 2, lines 10–11), and
+        the rate's unsafe ``floor`` raised where an operator bottlenecked.
 
         Beyond Algorithm 1's labels, operators observed at CPU
         saturation (> 98 %) while the sources are throttled are recorded
@@ -199,7 +198,6 @@ class StreamTuneTuner:
         offline history."""
         labels = label_operators(self.wl.dag, result)
         fe = self.bundle.feature_encoder
-        key = self._rate_key(rates)
         sat = saturated_ops(self.wl.dag, result)
         for oid, lab in labels.items():
             p_now = int(result.parallelism.get(oid, 1))
@@ -211,69 +209,46 @@ class StreamTuneTuner:
             self._p.append(float(fe.scale_parallelism(p_now)))
             self._y.append(eff)
             self._w.append(FEEDBACK_WEIGHT)
-            floors = self._unsafe_floor.setdefault(key, {})
             if lab == 1:
-                floors[oid] = max(floors.get(oid, 0), p_now)
+                floor[oid] = max(floor.get(oid, 0), p_now)
             elif saturated:  # workable but marginal: never trim below it
-                floors[oid] = max(floors.get(oid, 0), p_now - 1)
+                floor[oid] = max(floor.get(oid, 0), p_now - 1)
 
     def _recommend(self, emb, model, threshold: float) -> dict[str, int] | None:
-        """Minimum safe parallelism per operator in topological order
-        (Alg. 2, lines 6–8)."""
+        """Minimum safe parallelism per operator (Alg. 2, lines 6–8); M_f
+        is fixed for the pass, so operator order changes no result."""
         if model is None:
             return None
         fe = self.bundle.feature_encoder
-        tunable = set(self.wl.dag.tunable_operators())
-        rec: dict[str, int] = {}
-        for oid in self.wl.dag.topological_order():  # line 6
-            if oid in tunable:
-                rec[oid] = min_safe_parallelism(  # line 8
-                    model,
-                    emb[oid],
-                    self.wl.p_max,
-                    fe.scale_parallelism,
-                    threshold=threshold,
-                )
-        return rec
-
-    def _deploy(self, par: dict[str, int], rates, emb):
-        res = self._deployer(par, rates)
-        self._collect_feedback(rates, res, emb)
-        return res
+        return {
+            o: min_safe_parallelism(model, emb[o], self.wl.p_max, fe.scale_parallelism, threshold=threshold)
+            for o in self.wl.dag.tunable_operators()
+        }
 
     @staticmethod
     def _rate_key(rates: dict[str, float]) -> tuple:
         return tuple(sorted((k, round(v, 6)) for k, v in rates.items()))
 
-    @staticmethod
-    def _dominates(a: tuple, b: tuple) -> bool:
-        """True when rate vector a ≥ b elementwise (same sources)."""
-        return all(x[1] >= y[1] for x, y in zip(a, b))
-
-    def _transferred_floor(self, key: tuple) -> dict[str, int]:
-        """Unsafe floors transfer monotonically across rates: a degree
-        that bottlenecked under lower-or-equal rates is also unsafe now."""
-        out: dict[str, int] = {}
-        for k, floors in self._unsafe_floor.items():
-            if self._dominates(key, k):
-                for o, p in floors.items():
-                    out[o] = max(out.get(o, 0), p)
-        return out
-
-    def _transferred_cap(self, key: tuple) -> dict[str, int]:
-        """Safe caps transfer the other way: a configuration verified safe
-        under higher-or-equal rates is safe now — never exceed it."""
-        out: dict[str, int] = {}
-        for k, conf in self._memo.items():
-            if k != key and self._dominates(k, key):
-                for o, p in conf.items():
-                    out[o] = min(out.get(o, p), p)
-        return out
+    def _transferred(self, key: tuple) -> tuple[dict[str, int], dict[str, int]]:
+        """What monotonicity carries across rates to ``key``: the unsafe
+        floor (a degree that bottlenecked under lower-or-equal rates is
+        unsafe now) and the safe cap (a configuration verified safe under
+        other, higher-or-equal rates is safe now — never exceed it)."""
+        floor: dict[str, int] = {}
+        cap: dict[str, int] = {}
+        for k, at in self._rates.items():
+            if all(x[1] >= y[1] for x, y in zip(key, k)):
+                for o, p in at.floor.items():
+                    floor[o] = max(floor.get(o, 0), p)
+            if k != key and at.safe and all(x[1] <= y[1] for x, y in zip(key, k)):
+                for o, p in at.safe.items():
+                    cap[o] = min(cap.get(o, p), p)
+        return floor, cap
 
     # -- the tuning process --------------------------------------------------
     def tune(
         self, current: dict[str, int], rates: dict[str, float]
-    ) -> TuneProcessResult:
+    ) -> TuningProcess:
         """One tuning process for a source-rate change.
 
         Seen rate (repeats in the periodic pattern): redeploy the
@@ -282,11 +257,20 @@ class StreamTuneTuner:
         past" at the job level. Unseen rate: Algorithm 2 with a
         conservative first shot (margin on top of the monotone model's
         boundary) that escalates while backpressure persists, then a
-        guarded trim once the job is healthy.
+        guarded trim once the job is healthy. Every deployment's feedback
+        goes to T and to this rate's record.
         """
         emb = self._embeddings(rates)
         key = self._rate_key(rates)
-        proc = TuningProcess(lambda par, r: self._deploy(par, r, emb), current, rates)
+        at = self._rates.setdefault(key, _AtRate())
+        ops = self.wl.dag.tunable_operators()
+
+        def deploy(par, r):
+            res = self._deployer(par, r)
+            self._collect_feedback(res, emb, at.floor)
+            return res
+
+        proc = TuningProcess(deploy, current, rates)
 
         def at_edge(res) -> bool:
             """True when the deployment is healthy only by the grace of
@@ -327,14 +311,14 @@ class StreamTuneTuner:
             any parallelism already observed to bottleneck at this rate,
             and paused for TRIM_COOLDOWN_VISITS visits at a rate where a
             trim failed. A trim that lands on the detection edge is reverted."""
-            if self._trim_cooldown.get(key, 0) > 0:
-                self._trim_cooldown[key] -= 1
+            if at.cooldown > 0:
+                at.cooldown -= 1
                 return res
             # Trim on alternating visits only: halves reconfiguration
             # overhead while the 12 visits per rate in the full pattern
             # still give ample descent opportunities.
-            self._visit_count[key] = self._visit_count.get(key, 0) + 1
-            if self._visit_count[key] % 2 == 0:
+            at.visits += 1
+            if at.visits % 2 == 0:
                 return res
             model = self._fit_model()
             rec = self._recommend(emb, model, TRIM_THRESHOLD)
@@ -344,7 +328,7 @@ class StreamTuneTuner:
             # boundaries disagree, the model is uncertain about this
             # operator — trim no lower than the conservative one.
             rec_cons = self._recommend(emb, model, SAFE_THRESHOLD)
-            floors = self._transferred_floor(key)
+            floors = self._transferred(key)[0]
             par = proc.par
             stepped: dict[str, int] = {}
             for o in rec:
@@ -359,32 +343,32 @@ class StreamTuneTuner:
                 safe = {o: par[o] for o in stepped}  # verified revert point
                 res2 = proc.to(stepped)
                 if at_edge(res2):
-                    self._trim_cooldown[key] = TRIM_COOLDOWN_VISITS
+                    at.cooldown = TRIM_COOLDOWN_VISITS
                     res2 = proc.to(safe)
                 return res2 if not at_edge(res2) else res
             return res
 
-        def finish(res, converged=True):
-            out = proc.result(self.wl.dag.tunable_operators(), converged)
-            if not at_edge(res):
-                self._memo[key] = dict(out.final_parallelism)
-            return out
-
-        if key in self._memo:
-            res = proc.to(self._memo[key])
+        def settle(res) -> TuningProcess:
+            """Harden a healthy deployment, trim it once off the edge, and
+            memoise the outcome if it stays off the edge."""
             res = harden(res)
             if not at_edge(res):
                 res = try_trim(res)
-            return finish(res)
+            proc.finish(ops)
+            if not at_edge(res):
+                at.safe = dict(proc.final_parallelism)
+            return proc
+
+        if at.safe is not None:
+            return settle(proc.to(at.safe))
 
         margin = FIRST_SHOT_MARGIN
         for _ in range(MAX_ITERS):
             model = self._fit_model()
             rec = self._recommend(emb, model, SAFE_THRESHOLD)
-            floors = self._transferred_floor(key)
-            caps = self._transferred_cap(key)
+            floors, caps = self._transferred(key)
             if rec is None:
-                rec = {o: proc.par.get(o, 1) for o in self.wl.dag.tunable_operators()}
+                rec = {o: proc.par.get(o, 1) for o in ops}
             else:
                 # +1 absolute slack: multiplicative margins are toothless
                 # at small degrees (ceil(2 · 1.4) is still only 3). Floors
@@ -405,14 +389,10 @@ class StreamTuneTuner:
                     for o, p in rec.items()
                 }
             res = proc.to(rec)
-            if res.job_backpressure:
-                margin *= 1.2  # escalate conservatism while unhealthy
-                continue
-            res = harden(res)
-            if not at_edge(res):
-                res = try_trim(res)
-            return finish(res)
-        return finish(res, converged=False)
+            if not res.job_backpressure:
+                return settle(res)
+            margin *= 1.2  # escalate conservatism while unhealthy
+        return proc.finish(ops, converged=False)  # backpressured: not memoised
 
 
 @dataclass

@@ -12,7 +12,10 @@ pair of structures costs at most one exact GED per pre-training. The
 assignment step can fan out over Spark (``assign_with_spark``); it then
 computes only the (structure, center) distances the memo lacks, as an
 RDD of indices into those pairs, which travel pickled with the worker
-function, and starts no job when it lacks none.
+function, and starts no job when it lacks none. Under ``pretrain(k=None)``
+it always lacks none, because the final k-means repeats a run that
+``elbow_k`` already made, and no program path passes an explicit k > 1;
+so today this step starts no Spark job anywhere.
 
 ``elbow_k`` picks k by the elbow method (max second difference of the
 within-cluster distance curve), as in the paper's pre-training setup.

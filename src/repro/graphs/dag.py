@@ -139,23 +139,21 @@ class DataflowDAG:
         return list(self._memo["order"])
 
     def ancestors(self, op_id: str) -> set[str]:
-        seen: set[str] = set()
-        stack = list(self.upstream(op_id))
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self.upstream(u))
-        return seen
+        return self._reach(op_id, "up")
 
     def descendants(self, op_id: str) -> set[str]:
+        return self._reach(op_id, "down")
+
+    def _reach(self, op_id: str, way: str) -> set[str]:
+        """Operators reachable from ``op_id`` along the ``way`` adjacency."""
+        adj = self._memo[way]
         seen: set[str] = set()
-        stack = list(self.downstream(op_id))
+        stack = list(adj.get(op_id, ()))
         while stack:
             u = stack.pop()
             if u not in seen:
                 seen.add(u)
-                stack.extend(self.downstream(u))
+                stack.extend(adj[u])
         return seen
 
     def propagate(

@@ -308,36 +308,34 @@ def fig11b_simcenter(
     """Fig. 11b (as a table): similarity-center computation time, pruned
     (AStar+-LSa-style) search vs direct full-GED computation, each the
     median of 5 runs on a fresh memo, with the A* states each run
-    expanded, a count that does not depend on the host."""
+    expanded, a count that does not depend on the host. The two paths
+    alternate within each repeat, so host-speed drift hits both alike."""
     import time
 
     from repro.graphs.ged import GEDCache
     from repro.graphs.similarity import similarity_center
 
-    def timed(dags: list, method: str):
-        times = []
-        for _ in range(5):
-            memo = GEDCache()
-            t0 = time.perf_counter()
-            center = similarity_center(dags, tau, method=method, memo=memo)
-            times.append(time.perf_counter() - t0)
-        return np.median(times), center, memo
+    def once(dags: list, method: str):
+        memo = GEDCache()
+        t0 = time.perf_counter()
+        center = similarity_center(dags, tau, method=method, memo=memo)
+        return time.perf_counter() - t0, center.canonical_key(), memo.expansions
 
     base = list(full_catalogue().values())
     rows = []
     for n in sizes:
         dags = [base[i % len(base)].dag for i in range(n)]
-        t_fast, c1, fast = timed(dags, "astar_lsa")
-        t_direct, c2, direct = timed(dags, "direct")
-        assert c1.canonical_key() == c2.canonical_key()
+        fast, direct = zip(*([once(dags, "astar_lsa"), once(dags, "direct")] for _ in range(5)))
+        assert fast[-1][1] == direct[-1][1]
+        t_fast, t_direct = (np.median([t for t, _, _ in runs]) for runs in (fast, direct))
         rows.append(
             {
                 "#DAGs": n,
                 "AStar+-LSa (s)": round(t_fast, 4),
                 "direct GED (s)": round(t_direct, 4),
                 "speedup": round(t_direct / max(t_fast, 1e-9), 1),
-                "AStar+-LSa expansions": fast.expansions,
-                "direct expansions": direct.expansions,
+                "AStar+-LSa expansions": fast[-1][2],
+                "direct expansions": direct[-1][2],
             }
         )
     return pd.DataFrame(rows)

@@ -5,11 +5,14 @@ The scan parses every ``.py`` file of the program and its entry points
 modules they import: absolute, relative and function-local imports, plus
 the ``"repro.x:fn"`` target strings that perfbench resolves at run time.
 A module that only ``tests/`` import is either wired into the program or
-deleted; this test makes ``pytest tests/`` fail first. The same parse
-also checks that the tuners reach the engine through one path, that no
-module but ``graphs/dag.py`` changes a DAG after it is built, that only
-``HistoryRecord.to_row`` serialises a DAG, that no module branches on
-an engine's name, and that the tuners read no simulator ground truth.
+deleted; this test makes ``pytest tests/`` fail first. The same holds
+per function and class: each one that ``src/repro`` defines is named
+somewhere in the program (comments and docstrings do not count). The
+same parse also checks that the tuners reach the engine through one
+path, that no module but ``graphs/dag.py`` changes a DAG after it is
+built, that only ``HistoryRecord.to_row`` serialises a DAG, that no
+module branches on an engine's name, and that the tuners read no
+simulator ground truth.
 """
 import ast
 import re
@@ -74,6 +77,78 @@ def test_every_repro_module_is_imported_by_the_program():
         if not any(u == m or u.startswith(m + ".") for u in used)
     )
     assert not unused, f"imported only by tests (wire in or delete): {unused}"
+
+
+def _uses(tree) -> set[str]:
+    """Every name ``tree`` uses: ``Name`` ids, ``Attribute`` attrs, import
+    aliases and the parts of perfbench's ``"repro.x:a.b"`` targets."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _TARGET.fullmatch(node.value):
+                out.update(re.split(r"[.:]", node.value))
+    return out
+
+
+def _unused_defs(tree, used: set[str]) -> list[str]:
+    """Non-dunder functions and classes ``tree`` defines that ``used`` lacks."""
+    return sorted(
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    )
+
+
+def test_every_repro_symbol_is_used_by_the_program():
+    trees = {p: ast.parse(p.read_text()) for base in _PROGRAM for p in base.rglob("*.py")}
+    used = set().union(*map(_uses, trees.values()))
+    unused = {
+        _module_name(p, _SRC): names
+        for p, tree in trees.items()
+        if p.is_relative_to(_SRC / "repro") and (names := _unused_defs(tree, used))
+    }
+    assert not unused, f"defined but named only by tests (wire in or delete): {unused}"
+
+
+def test_symbol_scan_sees_uses():
+    src = '''
+import numpy.linalg as la
+from m import imported
+class Used:
+    """Mentions orphan() and Orphan, which does not count."""
+    def method(self):
+        return helper()  # orphan
+    def __repr__(self):
+        return ""
+    def unread(self):
+        pass
+def helper():
+    def inner():
+        pass
+    return inner
+def orphan():
+    pass
+class Orphan:
+    pass
+def target():
+    pass
+def imported():
+    pass
+def linalg():
+    pass
+x = Used().method
+spec = "repro.m:target.sub"
+'''
+    tree = ast.parse(src)
+    assert _unused_defs(tree, _uses(tree)) == ["Orphan", "orphan", "unread"]
 
 
 def test_scan_resolves_relative_imports():

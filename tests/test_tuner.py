@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.baselines.conttune import ContTuneTuner
+from repro.baselines.ds2 import DS2Tuner
 from repro.baselines.zerotune import ZeroTuneCostModel, ZeroTuneTuner
 from repro.core import tuner as tuner_mod
 from repro.core.pretrain import pretrain
@@ -84,7 +86,7 @@ class TestSingleProcess:
         start = {o: 1 for o in wl.dag.tunable_operators()}
         first = t.tune(start, wl.rates(8))
         t.tune(first.final_parallelism, wl.rates(3))
-        again = t.tune(t._memo[t._rate_key(wl.rates(3))], wl.rates(8))
+        again = t.tune(t._rates[t._rate_key(wl.rates(3))].safe, wl.rates(8))
         assert again.n_reconfigs <= 2
         assert again.backpressure_events == 0
 
@@ -104,19 +106,19 @@ class TestCrossRateTransfer:
         t = StreamTuneTuner(bundle, wl, seed=1)
         k_lo = t._rate_key(wl.rates(2))
         k_hi = t._rate_key(wl.rates(9))
-        t._unsafe_floor[k_lo] = {"wagg": 5}
-        assert t._transferred_floor(k_hi)["wagg"] == 5  # unsafe at 2 → unsafe at 9
-        assert "wagg" not in t._transferred_floor(t._rate_key(wl.rates(1)))
+        t._rates[k_lo] = tuner_mod._AtRate(floor={"wagg": 5})
+        assert t._transferred(k_hi)[0]["wagg"] == 5  # unsafe at 2 → unsafe at 9
+        assert "wagg" not in t._transferred(t._rate_key(wl.rates(1)))[0]
 
     def test_cap_transfer_monotone(self, setup):
         cat, bundle = setup
         wl = cat["nexmark_q5"]
         t = StreamTuneTuner(bundle, wl, seed=1)
         k_hi = t._rate_key(wl.rates(9))
-        t._memo[k_hi] = {"wagg": 20, "agg": 4, "join": 6}
-        caps = t._transferred_cap(t._rate_key(wl.rates(3)))
+        t._rates[k_hi] = tuner_mod._AtRate(safe={"wagg": 20, "agg": 4, "join": 6})
+        caps = t._transferred(t._rate_key(wl.rates(3)))[1]
         assert caps["wagg"] == 20  # safe at 9 → cap at 3
-        assert t._transferred_cap(t._rate_key(wl.rates(10))) == {}
+        assert t._transferred(t._rate_key(wl.rates(10)))[1] == {}
 
 
 class TestFeedback:
@@ -146,7 +148,7 @@ class TestFeedback:
         rec = _deploy_and_label(wl.name, wl.dag, "timely", rates, par, 3)
         emb = t._embeddings(rates)
         n0 = len(t._y)
-        t._collect_feedback(rates, res, emb)
+        t._collect_feedback(res, emb, {})
         ops = [o for o in rec.labels if o in emb]
         assert dict(zip(ops, t._y[n0:])) == {o: rec.labels[o] for o in ops}
 
@@ -169,30 +171,31 @@ class TestTuningProcess:
         deploy, calls = _fake_deploy(False)
         proc = TuningProcess(deploy, {"a": 2, "b": 3}, {"src": 1.0})
         proc.to({"a": 4, "b": 3})
-        assert (proc.reconfigs, proc.bp_events) == (1, 0)
+        assert (proc.n_reconfigs, proc.backpressure_events) == (1, 0)
         assert calls == [{"a": 4, "b": 3}]
 
     def test_missing_degree_counts_as_one(self):
         deploy, calls = _fake_deploy(False)
         proc = TuningProcess(deploy, {"a": 2}, {"src": 1.0})
         proc.to({"b": 1})
-        assert proc.reconfigs == 0
+        assert proc.n_reconfigs == 0
         proc.to({"b": 2})
-        assert proc.reconfigs == 1
+        assert proc.n_reconfigs == 1
         assert calls == [{"a": 2, "b": 1}, {"a": 2, "b": 2}]
 
     def test_unchanged_redeploy_counts_backpressure_only(self):
         deploy, calls = _fake_deploy(True)
         proc = TuningProcess(deploy, {"a": 2}, {"src": 1.0})
         proc.to({"a": 2})
-        assert (proc.reconfigs, proc.bp_events) == (0, 1)
+        assert (proc.n_reconfigs, proc.backpressure_events) == (0, 1)
         assert calls == [{"a": 2}]
 
     def test_result_keeps_only_given_operators(self):
         deploy, _ = _fake_deploy(False)
         proc = TuningProcess(deploy, {"src": 1, "a": 2}, {"src": 1.0})
         proc.to({"b": 5})
-        out = proc.result(["a", "b"], converged=False)
+        out = proc.finish(["a", "b"], converged=False)
+        assert out is proc
         assert out.final_parallelism == {"a": 2, "b": 5}
         assert (out.n_reconfigs, out.backpressure_events, out.converged) == (1, 0, False)
 
@@ -210,6 +213,33 @@ class TestTuningProcess:
         assert seen == [(wl.dag, "timely", 5 + 7919 * n) for n in (1, 2, 3)]
         assert deploy.n == 3
 
+
+@pytest.fixture(scope="module")
+def pqp_tuners():
+    """A StreamTune bundle and a ZeroTune cost model from one small PQP
+    history, for the tuner-agnostic tests."""
+    wl = pqp_catalogue()["pqp_linear_0"]
+    hist = generate_history_local([wl], n_per_workload=20, seed=11)
+    bundle = pretrain(hist, k=1, epochs=2, seed=0)
+    model = ZeroTuneCostModel(bundle.feature_encoder, seed=0).fit(hist, epochs=2, seed=0)
+    return {
+        "DS2": lambda: DS2Tuner(wl, seed=1),
+        "ContTune": lambda: ContTuneTuner(wl, seed=1),
+        "ZeroTune": lambda: ZeroTuneTuner(wl, model, seed=1),
+        "StreamTune": lambda: StreamTuneTuner(bundle, wl, seed=1),
+    }, wl
+
+
+@pytest.mark.parametrize("method", ["DS2", "ContTune", "ZeroTune", "StreamTune"])
+def test_tune_returns_its_process(pqp_tuners, method):
+    """Every method's outcome is the process it deployed through, fixed
+    over the tunable operators."""
+    makers, wl = pqp_tuners
+    ops = wl.dag.tunable_operators()
+    out = makers[method]().tune({o: 1 for o in ops}, wl.rates(5))
+    assert isinstance(out, TuningProcess)
+    assert list(out.final_parallelism) == ops
+    assert out.tuning_minutes == out.n_reconfigs * tuner_mod.STABILISATION_MINUTES
 
 class TestPattern:
     def test_pattern_run_statistics(self, setup):
