@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graphs.dag import (
-    AGG_FUNCTIONS,
-    KEY_CLASSES,
-    OPERATOR_TYPES,
-    TUPLE_DATA_TYPES,
-    WINDOW_POLICIES,
-    WINDOW_TYPES,
-    DataflowDAG,
-)
+from repro.graphs.dag import CATEGORIES, DataflowDAG
 
 #: Table I — the static feature schema (name, kind). Kept as data so the
 #: tests can assert the reproduced schema matches the paper's table.
@@ -41,17 +33,6 @@ STATIC_FEATURES: tuple[tuple[str, str], ...] = (
     ("tuple_width_out", "numeric"),
     ("tuple_data_type", "categorical"),
 )
-
-_CATEGORIES: dict[str, tuple[str, ...]] = {
-    "operator_type": OPERATOR_TYPES,
-    "window_type": WINDOW_TYPES,
-    "window_policy": WINDOW_POLICIES,
-    "join_key_class": KEY_CLASSES,
-    "aggregate_class": KEY_CLASSES,
-    "aggregate_key_class": KEY_CLASSES,
-    "aggregate_function": AGG_FUNCTIONS,
-    "tuple_data_type": TUPLE_DATA_TYPES,
-}
 
 _NUMERICS = tuple(n for n, k in STATIC_FEATURES if k == "numeric")
 #: Operator attribute of each feature: its own name, except Table I's
@@ -76,7 +57,7 @@ class FeatureEncoder:
 
     @property
     def dim(self) -> int:
-        cat = sum(len(_CATEGORIES[n]) for n, k in STATIC_FEATURES if k == "categorical")
+        cat = sum(len(CATEGORIES[_ATTR[n]]) for n, k in STATIC_FEATURES if k == "categorical")
         # + selectivity + source rate + upstream data rate (see encode_dag)
         return cat + len(_NUMERICS) + 3
 
@@ -138,7 +119,7 @@ class FeatureEncoder:
         for name, kind in STATIC_FEATURES:
             vals = [getattr(op, _ATTR[name]) for op in ops]
             if kind == "categorical":
-                cats = _CATEGORIES[name]
+                cats = CATEGORIES[_ATTR[name]]
                 cols.append(np.eye(len(cats))[[cats.index(v) for v in vals]])
             else:
                 cols.append(self._scale(name, np.array(vals, dtype=float))[:, None])

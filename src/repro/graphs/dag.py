@@ -13,26 +13,32 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-#: Operator types used across Nexmark + PQP workloads. The catalogue is
-#: closed (paper §VII notes one-hot typed operators require retraining for
-#: genuinely new types — same here).
-OPERATOR_TYPES = (
-    "source",
-    "map",
-    "filter",
-    "flatmap",
-    "join",
-    "window_join",
-    "window_agg",
-    "aggregate",
-    "sink",
-)
-
-WINDOW_TYPES = ("none", "tumbling", "sliding")
-WINDOW_POLICIES = ("none", "count", "time")
-KEY_CLASSES = ("none", "int", "long", "string")
-AGG_FUNCTIONS = ("none", "min", "max", "avg", "sum", "count")
-TUPLE_DATA_TYPES = ("row", "kv", "scalar")
+#: Allowed values of each categorical ``Operator`` field (Table I's
+#: categorical features, ``op_type`` being its operator type): ``Operator``
+#: rejects any other value and ``core.features`` one-hot encodes over
+#: these tuples. The operator types are closed (paper §VII notes one-hot
+#: typed operators require retraining for genuinely new types — same here).
+_KEY_CLASSES = ("none", "int", "long", "string")
+CATEGORIES: dict[str, tuple[str, ...]] = {
+    "op_type": (
+        "source",
+        "map",
+        "filter",
+        "flatmap",
+        "join",
+        "window_join",
+        "window_agg",
+        "aggregate",
+        "sink",
+    ),
+    "window_type": ("none", "tumbling", "sliding"),
+    "window_policy": ("none", "count", "time"),
+    "join_key_class": _KEY_CLASSES,
+    "aggregate_class": _KEY_CLASSES,
+    "aggregate_key_class": _KEY_CLASSES,
+    "aggregate_function": ("none", "min", "max", "avg", "sum", "count"),
+    "tuple_data_type": ("row", "kv", "scalar"),
+}
 
 
 @dataclass(frozen=True)
@@ -56,14 +62,9 @@ class Operator:
     selectivity: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.op_type not in OPERATOR_TYPES:
-            raise ValueError(f"unknown operator type {self.op_type!r}")
-        if self.window_type not in WINDOW_TYPES:
-            raise ValueError(f"unknown window type {self.window_type!r}")
-        if self.window_policy not in WINDOW_POLICIES:
-            raise ValueError(f"unknown window policy {self.window_policy!r}")
-        if self.aggregate_function not in AGG_FUNCTIONS:
-            raise ValueError(f"unknown agg function {self.aggregate_function!r}")
+        for name, allowed in CATEGORIES.items():
+            if (value := getattr(self, name)) not in allowed:
+                raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
 
 
 @dataclass

@@ -23,7 +23,7 @@ import itertools
 import math
 from collections import Counter
 
-from .dag import OPERATOR_TYPES, DataflowDAG
+from .dag import CATEGORIES, DataflowDAG
 
 #: Safety valve: exact GED search aborts past this many expansions. Far
 #: above anything the <20-node workload DAGs need; prevents pathological
@@ -72,16 +72,16 @@ _SETUPS: dict[str, tuple] = {}
 
 def _setup(g: DataflowDAG) -> tuple:
     """The search tables of one structure, over its nodes in ``_as_struct``
-    order: label codes (indices into ``OPERATOR_TYPES``), the label counts
-    and the number of edges with an endpoint from each depth on, and each
+    order: label codes (indices into ``CATEGORIES["op_type"]``), the label
+    counts and the number of edges with an endpoint from each depth on, and each
     node pair's edge code and edge count. They depend only on the labels
     and edges over topological positions, which the canonical key fixes,
     so each structure's tables are built once."""
     key = g.canonical_key()
     if key not in _SETUPS:
         types, edges = _as_struct(g)
-        labels = [OPERATOR_TYPES.index(t) for t in types]
-        suffix = [[0] * len(OPERATOR_TYPES)]
+        labels = [CATEGORIES["op_type"].index(t) for t in types]
+        suffix = [[0] * len(CATEGORIES["op_type"])]
         for lab in reversed(labels):
             suffix.insert(0, suffix[0][:])
             suffix[0][lab] += 1

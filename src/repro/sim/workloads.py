@@ -1,6 +1,8 @@
-"""Workload catalogue: Nexmark Q1/Q2/Q3/Q5/Q8 and PQP query templates
-(Linear ×8, 2-way-join ×16, 3-way-join ×32), with the paper's Table II
-source-rate units.
+"""Workload catalogue: Nexmark Q1/Q2/Q3/Q5/Q8 and ZeroTune's PQP query
+templates, with the paper's Table II source-rate units. It states §V's
+evaluation layout once: ``Workload.group`` is the column that reports a
+job, ``PQP_TEMPLATES`` each PQP group's Table II key and template count;
+the harness, ZeroTune's job set and the ablations filter the catalogue.
 
 Each workload is a logical :class:`DataflowDAG` plus its per-source rate
 unit ``W_u``. Operator *tuple widths* are fitted so that, at source rate
@@ -38,6 +40,14 @@ SOURCE_RATE_UNITS: dict[tuple[str, str], dict[str, float]] = {
     ("pqp_3way", "flink"): {"pqp": 250},
 }
 
+#: PQP group (its reported column) → (Table II key, template count);
+#: template ``i`` of a group is the job ``f"{key}_{i}"``.
+PQP_TEMPLATES: dict[str, tuple[str, int]] = {
+    "Linear": ("pqp_linear", 8),
+    "2-way-join": ("pqp_2way", 16),
+    "3-way-join": ("pqp_3way", 32),
+}
+
 
 @dataclass
 class Workload:
@@ -47,7 +57,9 @@ class Workload:
     dag: DataflowDAG
     system: str
     rate_units: dict[str, float]
-    group: str  # "nexmark", "pqp_linear", "pqp_2way", "pqp_3way"
+    #: Reported column: "Q1" … "Q8" for Nexmark, a ``PQP_TEMPLATES`` key
+    #: ("Linear", "2-way-join", "3-way-join") for PQP.
+    group: str
 
     def rates(self, multiplier: float) -> dict[str, float]:
         """Source rates at ``multiplier × W_u``."""
@@ -85,10 +97,12 @@ def _fit_widths(
     return DataflowDAG(dag.name, new_ops, list(dag.edges), dict(dag.sources))
 
 
-def _mk(name, ops, edges, sources, ratios, system, units_key, group) -> Workload:
-    units = SOURCE_RATE_UNITS[(units_key, system)]
-    dag = DataflowDAG(name, ops, edges, sources)
-    dag = _fit_widths(dag, units, ratios, system)
+def _mk(name, group, system, ops, edges, sources, ratios) -> Workload:
+    """Job ``name`` of column ``group``, with its PQP group's Table II units
+    or else its own."""
+    key = PQP_TEMPLATES[group][0] if group in PQP_TEMPLATES else name
+    units = SOURCE_RATE_UNITS[(key, system)]
+    dag = _fit_widths(DataflowDAG(name, ops, edges, sources), units, ratios, system)
     return Workload(name=name, dag=dag, system=system, rate_units=units, group=group)
 
 
@@ -117,12 +131,16 @@ _NEXMARK_RATIOS = {
 
 
 def nexmark_catalogue(system: str = "flink") -> dict[str, Workload]:
-    """The five Nexmark jobs of §V-A as logical DAGs."""
-    r = _NEXMARK_RATIOS[system]
+    """The five Nexmark jobs of §V-A as logical DAGs, each its own column."""
     cat: dict[str, Workload] = {}
+
+    def query(col: str, ops, edges, sources) -> None:
+        name = f"nexmark_{col.lower()}"
+        cat[name] = _mk(name, col, system, ops, edges, sources, _NEXMARK_RATIOS[system][name])
+
     # Q1 — currency conversion (stateless map).
-    cat["nexmark_q1"] = _mk(
-        "nexmark_q1",
+    query(
+        "Q1",
         [
             Operator("src_bids", "source"),
             Operator("map", "map", tuple_data_type="row"),
@@ -130,14 +148,10 @@ def nexmark_catalogue(system: str = "flink") -> dict[str, Workload]:
         ],
         [("src_bids", "map"), ("map", "sink")],
         {"src_bids": "bids"},
-        r["nexmark_q1"],
-        system,
-        "nexmark_q1",
-        "nexmark",
     )
     # Q2 — selection (stateless filter).
-    cat["nexmark_q2"] = _mk(
-        "nexmark_q2",
+    query(
+        "Q2",
         [
             Operator("src_bids", "source"),
             Operator("filter", "filter", selectivity=0.2),
@@ -145,14 +159,10 @@ def nexmark_catalogue(system: str = "flink") -> dict[str, Workload]:
         ],
         [("src_bids", "filter"), ("filter", "sink")],
         {"src_bids": "bids"},
-        r["nexmark_q2"],
-        system,
-        "nexmark_q2",
-        "nexmark",
     )
     # Q3 — incremental (record-at-a-time) two-input join.
-    cat["nexmark_q3"] = _mk(
-        "nexmark_q3",
+    query(
+        "Q3",
         [
             Operator("src_auctions", "source"),
             Operator("src_persons", "source"),
@@ -169,14 +179,10 @@ def nexmark_catalogue(system: str = "flink") -> dict[str, Workload]:
             ("join", "sink"),
         ],
         {"src_auctions": "auctions", "src_persons": "persons"},
-        r["nexmark_q3"],
-        system,
-        "nexmark_q3",
-        "nexmark",
     )
     # Q5 — hot items: sliding-window count per auction, then max-join.
-    cat["nexmark_q5"] = _mk(
-        "nexmark_q5",
+    query(
+        "Q5",
         [
             Operator("src_bids", "source"),
             Operator(
@@ -202,14 +208,10 @@ def nexmark_catalogue(system: str = "flink") -> dict[str, Workload]:
             ("join", "sink"),
         ],
         {"src_bids": "bids"},
-        r["nexmark_q5"],
-        system,
-        "nexmark_q5",
-        "nexmark",
     )
     # Q8 — tumbling-window join of new persons with their auctions.
-    cat["nexmark_q8"] = _mk(
-        "nexmark_q8",
+    query(
+        "Q8",
         [
             Operator("src_persons", "source"),
             Operator("src_auctions", "source"),
@@ -250,17 +252,13 @@ def nexmark_catalogue(system: str = "flink") -> dict[str, Workload]:
             ("wjoin", "sink"),
         ],
         {"src_persons": "persons", "src_auctions": "auctions"},
-        r["nexmark_q8"],
-        system,
-        "nexmark_q8",
-        "nexmark",
     )
     return cat
 
 
 # --------------------------------------------------------------------------
-# PQP templates (ZeroTune's synthetic query generator): Linear ×8,
-# 2-way-join ×16, 3-way-join ×32, varying window type/policy/length and
+# PQP templates (ZeroTune's synthetic query generator), as many per group
+# as ``PQP_TEMPLATES`` says, varying window type/policy/length and
 # aggregation function. Per-operator target ratios jitter ±30 % around
 # group means with a seeded RNG so templates differ.
 # --------------------------------------------------------------------------
@@ -273,13 +271,20 @@ def _jit(rng: np.random.Generator, x: float) -> float:
     return float(x * rng.uniform(0.7, 1.3))
 
 
-def pqp_catalogue() -> dict[str, Workload]:
-    """The 56 PQP query templates of §V-A (Flink-only in the paper)."""
+def _templates(col: str, system: str) -> list[str]:
+    """Job names of PQP group ``col`` on ``system``: none where Table II
+    gives the group no units."""
+    key, n = PQP_TEMPLATES[col]
+    return [f"{key}_{i}" for i in range(n)] if (key, system) in SOURCE_RATE_UNITS else []
+
+
+def pqp_catalogue(system: str = "flink") -> dict[str, Workload]:
+    """The PQP templates of §V-A in each group Table II gives ``system``
+    units for: every group on Flink, none on Timely, as in the paper."""
     cat: dict[str, Workload] = {}
-    for i in range(8):  # Linear
+    for i, name in enumerate(_templates("Linear", system)):
         rng = np.random.default_rng(1000 + i)
         wt, wp, wl, sl = _WINDOWS[i % 4]
-        name = f"pqp_linear_{i}"
         ops = [
             Operator("src", "source"),
             Operator("filter1", "filter", selectivity=0.6),
@@ -298,11 +303,10 @@ def pqp_catalogue() -> dict[str, Workload]:
             "filter2": _jit(rng, 5.0),
             "wagg": _jit(rng, 10.0),
         }
-        cat[name] = _mk(name, ops, edges, {"src": "pqp"}, ratios, "flink", "pqp_linear", "pqp_linear")
-    for i in range(16):  # 2-way joins
+        cat[name] = _mk(name, "Linear", system, ops, edges, {"src": "pqp"}, ratios)
+    for i, name in enumerate(_templates("2-way-join", system)):
         rng = np.random.default_rng(2000 + i)
         wt, wp, wl, sl = _WINDOWS[i % 4]
-        name = f"pqp_2way_{i}"
         ops = [
             Operator("src1", "source"),
             Operator("src2", "source"),
@@ -331,11 +335,10 @@ def pqp_catalogue() -> dict[str, Workload]:
             "wjoin": _jit(rng, 8.0),
             "agg": _jit(rng, 7.0),
         }
-        cat[name] = _mk(name, ops, edges, {"src1": "pqp", "src2": "pqp"}, ratios, "flink", "pqp_2way", "pqp_2way")
-    for i in range(32):  # 3-way joins
+        cat[name] = _mk(name, "2-way-join", system, ops, edges, {"src1": "pqp", "src2": "pqp"}, ratios)
+    for i, name in enumerate(_templates("3-way-join", system)):
         rng = np.random.default_rng(3000 + i)
         wt, wp, wl, sl = _WINDOWS[i % 4]
-        name = f"pqp_3way_{i}"
         ops = [
             Operator("src1", "source"),
             Operator("src2", "source"),
@@ -375,23 +378,11 @@ def pqp_catalogue() -> dict[str, Workload]:
             "agg": _jit(rng, 8.0),
         }
         cat[name] = _mk(
-            name, ops, edges,
-            {"src1": "pqp", "src2": "pqp", "src3": "pqp"},
-            ratios, "flink", "pqp_3way", "pqp_3way",
+            name, "3-way-join", system, ops, edges, {"src1": "pqp", "src2": "pqp", "src3": "pqp"}, ratios
         )
     return cat
 
 
 def full_catalogue(system: str = "flink") -> dict[str, Workload]:
-    cat = nexmark_catalogue(system)
-    if ("pqp_linear", system) in SOURCE_RATE_UNITS:  # Table II: PQP on Flink only
-        cat |= pqp_catalogue()
-    return cat
-
-
-def pqp_groups() -> dict[str, list[str]]:
-    return {
-        "pqp_linear": [f"pqp_linear_{i}" for i in range(8)],
-        "pqp_2way": [f"pqp_2way_{i}" for i in range(16)],
-        "pqp_3way": [f"pqp_3way_{i}" for i in range(32)],
-    }
+    """Every job Table II gives ``system`` units for."""
+    return nexmark_catalogue(system) | pqp_catalogue(system)

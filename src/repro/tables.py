@@ -5,9 +5,11 @@ full scale; ``pattern_perms`` scales it down for CI-speed runs), tuners
 carry deployed parallelism across changes, and the same pre-trained
 bundle backs every StreamTune tuner. ``run_evaluation`` runs it once on
 either engine (``EvalConfig.system``) and returns an ``EvalRun``; the
-extractors below read that run. PQP groups are evaluated on a subset of
-queries per group (``pqp_per_group``) and counts are scaled to the full
-group size so they are comparable to the paper's totals.
+extractors below read that run. A column evaluates the catalogue's jobs
+of that ``Workload.group``: a Nexmark query its one job, a PQP group its
+first ``pqp_per_group`` templates, with counts scaled to the group's
+full template count (``PQP_TEMPLATES``) so they are comparable to the
+paper's totals.
 
 Extractors return pandas DataFrames shaped like the paper's tables;
 ``jobs/*.py`` print them, ``benchmarks/*.py`` time/regress them, and
@@ -28,7 +30,7 @@ from repro.core.tuner import PatternRunStats, StreamTuneTuner, run_pattern
 from repro.history import HistoryRecord, generate_history, generate_history_local
 from repro.sim.engine import epoch_latencies
 from repro.sim.source_rates import periodic_pattern
-from repro.sim.workloads import SOURCE_RATE_UNITS, Workload, full_catalogue, pqp_groups
+from repro.sim.workloads import PQP_TEMPLATES, SOURCE_RATE_UNITS, Workload, full_catalogue
 
 #: Epochs of each Fig. 8 latency run.
 LATENCY_EPOCHS = 200
@@ -42,19 +44,6 @@ QUERY_COLUMNS = ["Q1", "Q2", "Q3", "Q5", "Q8", "Linear", "2-way-join", "3-way-jo
 PROTOCOLS: dict[str, tuple[list[str], int]] = {
     "flink": (QUERY_COLUMNS, 11),
     "timely": (["Q3", "Q5", "Q8"], 13),
-}
-
-_NEXMARK_BY_COL = {
-    "Q1": "nexmark_q1",
-    "Q2": "nexmark_q2",
-    "Q3": "nexmark_q3",
-    "Q5": "nexmark_q5",
-    "Q8": "nexmark_q8",
-}
-_PQP_BY_COL = {
-    "Linear": "pqp_linear",
-    "2-way-join": "pqp_2way",
-    "3-way-join": "pqp_3way",
 }
 
 
@@ -71,6 +60,12 @@ class EvalConfig:
     seed: int = 3
     k_clusters: int | None = 1  # None → elbow; 1 → global encoder
 
+    def __post_init__(self) -> None:
+        if self.system not in PROTOCOLS:
+            raise ValueError(f"unknown system {self.system!r}")
+        if min(self.pattern_perms, self.pqp_per_group) < 1:
+            raise ValueError(f"pattern_perms {self.pattern_perms}, pqp_per_group {self.pqp_per_group}: need >= 1")
+
 
 @dataclass
 class EvalRun:
@@ -85,11 +80,11 @@ class EvalRun:
 
 
 def _eval_jobs(cfg: EvalConfig) -> dict[str, list[str]]:
-    """Column → workload names evaluated for it."""
-    groups = pqp_groups()
+    """Column → workload names evaluated for it: the first
+    ``pqp_per_group`` catalogue jobs of that group."""
+    cat = full_catalogue(cfg.system).values()
     return {
-        col: [_NEXMARK_BY_COL[col]] if col in _NEXMARK_BY_COL
-        else groups[_PQP_BY_COL[col]][: cfg.pqp_per_group]
+        col: [wl.name for wl in cat if wl.group == col][: cfg.pqp_per_group]
         for col in PROTOCOLS[cfg.system][0]
     }
 
@@ -114,7 +109,7 @@ def run_evaluation(
     history = _history(spark, workloads, cfg.history_per_workload, seed=PROTOCOLS[cfg.system][1])
     bundle = pretrain(history, k=cfg.k_clusters, epochs=cfg.pretrain_epochs, seed=0, spark=spark)
     # ZeroTune learns from, and tunes, the PQP jobs (paper §V-A).
-    pqp_jobs = {wl.name for wl in workloads if wl.group != "nexmark"}
+    pqp_jobs = {wl.name for wl in workloads if wl.group in PQP_TEMPLATES}
     pqp_hist = [r for r in history if r.job in pqp_jobs]
     zt_model = None
     if pqp_hist:
@@ -167,8 +162,8 @@ def run_timely_evaluation(*, spark=None, **knobs) -> pd.DataFrame:
 def _scale(col: str, stats: list[PatternRunStats], value: float) -> float:
     """Scale a total over a column's evaluated jobs (one stat each) up to
     the paper's full group size."""
-    group = len(pqp_groups()[_PQP_BY_COL[col]]) if col in _PQP_BY_COL else 1
-    return value * group / len(stats)
+    size = PQP_TEMPLATES[col][1] if col in PQP_TEMPLATES else 1
+    return value * size / len(stats)
 
 
 def table2_source_rates() -> pd.DataFrame:
@@ -282,10 +277,10 @@ def fig11a_models(
 ) -> pd.DataFrame:
     """Fig. 11a (as a table): fine-tuning-model ablation — SVM and
     XGBoost honour the monotonic constraint, the NN does not."""
-    cat = full_catalogue(run.config.system)
+    cat = full_catalogue(run.config.system).values()
     rows = []
     for col in queries:
-        wl = cat[_NEXMARK_BY_COL[col]]
+        wl = next(wl for wl in cat if wl.group == col)
         for kind in ("svm", "xgboost", "nn"):
             tuner = StreamTuneTuner(run.bundle, wl, model_kind=kind, seed=run.config.seed)
             st = run_pattern(tuner, wl, run.pattern, method_name=f"st-{kind}")

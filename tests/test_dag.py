@@ -26,7 +26,7 @@ class TestOperator:
         assert op.window_type == "none"
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError, match="unknown operator type"):
+        with pytest.raises(ValueError, match="unknown op type"):
             Operator("x", "reduce")
 
     def test_unknown_window_type_rejected(self):
@@ -38,8 +38,19 @@ class TestOperator:
             Operator("x", "window_agg", window_policy="session")
 
     def test_unknown_agg_function_rejected(self):
-        with pytest.raises(ValueError, match="unknown agg function"):
+        with pytest.raises(ValueError, match="unknown aggregate function"):
             Operator("x", "aggregate", aggregate_function="median")
+
+    @pytest.mark.parametrize(
+        "field",
+        ["op_type", "window_type", "window_policy", "join_key_class", "aggregate_class",
+         "aggregate_key_class", "aggregate_function", "tuple_data_type"],
+    )
+    def test_every_categorical_field_checked(self, field):
+        # Table I's categorical features: a value outside the encoder's
+        # one-hot vocabulary fails when the operator is built.
+        with pytest.raises(ValueError, match=f"unknown {field.replace('_', ' ')} 'uuid'"):
+            Operator(**{"op_id": "m", "op_type": "map", field: "uuid"})
 
     def test_frozen(self):
         op = Operator("x", "map")

@@ -8,7 +8,7 @@ from repro.core.features import (
     adjacency,
     upstream_rates,
 )
-from repro.graphs.dag import DataflowDAG, Operator
+from repro.graphs.dag import CATEGORIES, DataflowDAG, Operator
 
 #: Table I of the paper: name → kind.
 _PAPER_TABLE1 = [
@@ -49,6 +49,14 @@ class TestSchema:
     def test_static_features_match_table1(self):
         assert list(STATIC_FEATURES) == _PAPER_TABLE1
 
+    def test_operator_checks_every_encoded_category(self):
+        # One table: the categories ``Operator`` accepts are the ones the
+        # encoder one-hot encodes, for every categorical Table I feature.
+        from repro.core.features import _ATTR
+
+        encoded = {_ATTR[n] for n, kind in STATIC_FEATURES if kind == "categorical"}
+        assert encoded == set(CATEGORIES)
+
     def test_dim_consistent(self):
         fe = FeatureEncoder().fit([(_dag(), {"in": 1000.0})])
         _, x = fe.encode_dag(_dag(), {"in": 1000.0})
@@ -57,7 +65,7 @@ class TestSchema:
 
 class TestEncoding:
     def test_one_hot_exclusive(self):
-        from repro.core.features import _CATEGORIES
+        from repro.core.features import _ATTR
 
         fe = FeatureEncoder().fit([(_dag(), {"in": 1000.0})])
         order, x = fe.encode_dag(_dag(), {"in": 1000.0})
@@ -67,7 +75,7 @@ class TestEncoding:
         pos = 0
         for name, kind in STATIC_FEATURES:
             if kind == "categorical":
-                width = len(_CATEGORIES[name])
+                width = len(CATEGORIES[_ATTR[name]])
                 block = v_filter[pos : pos + width]
                 assert block.sum() == pytest.approx(1.0), name
                 assert set(np.unique(block)) <= {0.0, 1.0}, name

@@ -11,8 +11,8 @@ somewhere in the program (comments and docstrings do not count). The
 same parse also checks that the tuners reach the engine through one
 path, that no module but ``graphs/dag.py`` changes a DAG after it is
 built, that only ``HistoryRecord.to_row`` serialises a DAG, that no
-module branches on an engine's name, and that the tuners read no
-simulator ground truth.
+module branches on an engine's name, that no module but the catalogue
+names a job, and that the tuners read no simulator ground truth.
 """
 import ast
 import re
@@ -20,6 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from repro.sim.engine import OpMetrics
+from repro.sim.workloads import SOURCE_RATE_UNITS, full_catalogue
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SRC = _ROOT / "src"
@@ -340,6 +341,49 @@ cat = full_catalogue("flink")
 same = system == other
 """
     assert _engine_name_tests(ast.parse(src)) == [2, 3, 4]
+
+
+#: Catalogue job names and Table II keys: which jobs exist and which
+#: column reports each is stated once, in ``sim/workloads.py``.
+_LAYOUT = {key for key, _ in SOURCE_RATE_UNITS} | set(full_catalogue("flink")) | set(
+    full_catalogue("timely")
+)
+
+
+def _layout_names(tree) -> set[str]:
+    """String constants of ``tree`` equal to a job name or Table II key;
+    exact values only, so docstrings and comments that mention one do not
+    count."""
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in _LAYOUT
+    }
+
+
+def test_only_the_catalogue_names_jobs():
+    # Every other module takes a filtered view of the catalogue (by
+    # ``Workload.group``); a job name or Table II key spelled elsewhere is
+    # a second copy of the evaluation layout.
+    own = _SRC / "repro" / "sim" / "workloads.py"
+    hits = {
+        _module_name(p, _SRC): sorted(names)
+        for p in (_SRC / "repro").rglob("*.py")
+        if p != own and (names := _layout_names(ast.parse(p.read_text())))
+    }
+    assert not hits, f"name catalogue jobs outside sim/workloads.py, filter by group instead: {hits}"
+
+
+def test_layout_scan_sees_names():
+    src = '''
+"""Evaluates nexmark_q1 and pqp_linear."""
+BY_COL = {"Q1": "nexmark_q1", "Linear": "pqp_linear"}
+wl = cat["pqp_3way_31"]
+name = f"pqp_linear_{i}"
+key = ("pqp_2way", system)
+ok = wl.group == "Q1"
+'''
+    assert _layout_names(ast.parse(src)) == {"nexmark_q1", "pqp_linear", "pqp_3way_31", "pqp_2way"}
 
 
 #: Simulator ground truth on ``OpMetrics``: values no real Flink or

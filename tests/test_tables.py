@@ -131,6 +131,44 @@ _RECORDED = {
 }
 
 
+#: ``_eval_jobs`` as recorded before the catalogue carried its columns.
+_NEXMARK = {"Q1": ["nexmark_q1"], "Q2": ["nexmark_q2"], "Q3": ["nexmark_q3"],
+            "Q5": ["nexmark_q5"], "Q8": ["nexmark_q8"]}
+_PQP = {"Linear": ["pqp_linear_0", "pqp_linear_1"], "2-way-join": ["pqp_2way_0", "pqp_2way_1"],
+        "3-way-join": ["pqp_3way_0", "pqp_3way_1"]}
+_TIMELY = {q: _NEXMARK[q] for q in ("Q3", "Q5", "Q8")}
+
+
+class TestEvalJobs:
+    """The jobs each reported column evaluates, columns and jobs in order."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_flink(self, k):
+        got = tables._eval_jobs(EvalConfig(system="flink", pqp_per_group=k))
+        want = _NEXMARK | {col: names[:k] for col, names in _PQP.items()}
+        assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_timely(self, k):
+        got = tables._eval_jobs(EvalConfig(system="timely", pqp_per_group=k))
+        assert list(got.items()) == list(_TIMELY.items())
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [{"pattern_perms": 0}, {"pattern_perms": -1}, {"pqp_per_group": 0}, {"system": "storm"}],
+        ids=["perms0", "perms-1", "pqp0", "system"],
+    )
+    def test_bad_knobs_rejected(self, bad):
+        with pytest.raises(ValueError):
+            EvalConfig(**bad)
+
+    def test_zero_epochs_allowed(self):
+        # The untrained-encoder ablation runs with no pre-training epochs.
+        assert EvalConfig(pretrain_epochs=0).pretrain_epochs == 0
+
+
 class TestHarness:
     def test_zerotune_trains_on_the_jobs_it_tunes(self, monkeypatch):
         """One rule picks ZeroTune's jobs: the history its cost model is

@@ -1,4 +1,8 @@
 """Tests for the Nexmark/PQP workload catalogue and Table II units."""
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.sim.engine import PROFILES, processing_ability, simulate
@@ -8,7 +12,6 @@ from repro.sim.workloads import (
     full_catalogue,
     nexmark_catalogue,
     pqp_catalogue,
-    pqp_groups,
 )
 
 #: Table II of the paper, verbatim (records/s).
@@ -45,11 +48,25 @@ class TestCatalogue:
 
     def test_pqp_template_counts(self):
         cat = pqp_catalogue()
-        groups = pqp_groups()
-        assert len(groups["pqp_linear"]) == 8
-        assert len(groups["pqp_2way"]) == 16
-        assert len(groups["pqp_3way"]) == 32
+        groups: dict[str, list[str]] = {}
+        for name, wl in cat.items():
+            groups.setdefault(wl.group, []).append(name)
+        assert len(groups["Linear"]) == 8
+        assert len(groups["2-way-join"]) == 16
+        assert len(groups["3-way-join"]) == 32
         assert set(cat) == set(sum(groups.values(), []))
+        assert groups == {
+            "Linear": [f"pqp_linear_{i}" for i in range(8)],
+            "2-way-join": [f"pqp_2way_{i}" for i in range(16)],
+            "3-way-join": [f"pqp_3way_{i}" for i in range(32)],
+        }
+
+    def test_nexmark_group_is_its_column(self):
+        for system in ("flink", "timely"):
+            assert {n: wl.group for n, wl in nexmark_catalogue(system).items()} == {
+                "nexmark_q1": "Q1", "nexmark_q2": "Q2", "nexmark_q3": "Q3",
+                "nexmark_q5": "Q5", "nexmark_q8": "Q8",
+            }
 
     def test_full_catalogue_sizes(self):
         assert len(full_catalogue("flink")) == 61
@@ -88,6 +105,22 @@ class TestCatalogue:
         assert (w0.window_type, w0.window_policy, w0.tuple_width_in) != (
             w1.window_type, w1.window_policy, w1.tuple_width_in,
         )
+
+
+_GOLDEN = json.loads(Path(__file__).with_name("catalogue_golden.json").read_text())
+
+
+def _digest(wl: Workload) -> str:
+    blob = json.dumps([wl.name, wl.system, wl.rate_units, wl.dag.to_json()], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("system", ["flink", "timely"])
+def test_catalogue_matches_golden(system):
+    """Every job's name, engine, Table II units and fitted DAG, pinned per
+    workload (``catalogue_golden.json`` holds a sha256 of each)."""
+    got = {name: _digest(wl) for name, wl in full_catalogue(system).items()}
+    assert got == _GOLDEN[system]
 
 
 def _max_required(wl: Workload, system: str) -> dict[str, int]:
