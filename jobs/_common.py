@@ -5,6 +5,8 @@ import argparse
 
 from pyspark.sql import SparkSession
 
+from repro.core.monotonic import MODELS
+
 
 def get_spark(app: str) -> SparkSession:
     """A classic (not Spark Connect) session: the fan-outs are RDDs."""
@@ -24,7 +26,7 @@ def eval_args(description: str) -> argparse.Namespace:
         help="PQP queries evaluated per template group (counts are scaled)",
     )
     ap.add_argument("--history", type=int, default=250, help="deployments per workload in the pre-training history")
-    ap.add_argument("--model", default="xgboost", choices=["svm", "xgboost", "nn"], help="StreamTune fine-tune layer")
+    ap.add_argument("--model", default="xgboost", choices=list(MODELS), help="StreamTune fine-tune layer")
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--local", action="store_true", help="skip Spark (pure-local history generation)")
     return ap.parse_args()

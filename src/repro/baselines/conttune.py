@@ -33,7 +33,7 @@ class GaussianProcess1D:
         self.l, self.sn = length_scale, noise
         self.x: np.ndarray | None = None
         self.alpha_vec: np.ndarray | None = None
-        self.k_inv: np.ndarray | None = None
+        self.k: np.ndarray | None = None
         self.y_mean = 0.0
         self.y_std = 1.0
 
@@ -47,17 +47,17 @@ class GaussianProcess1D:
         self.y_mean = float(y.mean())
         self.y_std = float(y.std()) or 1.0
         yn = (y - self.y_mean) / self.y_std
-        k = self._k(self.x, self.x) + self.sn**2 * np.eye(len(self.x))
-        self.k_inv = np.linalg.inv(k)
-        self.alpha_vec = self.k_inv @ yn
+        self.k = self._k(self.x, self.x) + self.sn**2 * np.eye(len(self.x))
+        self.alpha_vec = np.linalg.solve(self.k, yn)
         return self
 
     def predict(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and std at ``xs`` (original y units)."""
+        """Posterior mean and std at ``xs`` (original y units). K is
+        solved, never inverted."""
         assert self.x is not None
         ks = self._k(np.asarray(xs, dtype=float), self.x)
         mu = ks @ self.alpha_vec
-        var = SIGNAL**2 - np.einsum("ij,jk,ik->i", ks, self.k_inv, ks)
+        var = SIGNAL**2 - (ks * np.linalg.solve(self.k, ks.T).T).sum(axis=1)
         std = np.sqrt(np.maximum(var, 1e-12))
         return mu * self.y_std + self.y_mean, std * self.y_std
 

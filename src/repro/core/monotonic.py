@@ -21,6 +21,11 @@ Three models, all from scratch in numpy (no sklearn/xgboost offline):
 :func:`min_safe_parallelism` is Algorithm 2 line 8: the smallest p whose
 prediction is non-bottleneck, read off one batched prediction over
 p = 1..p_max.
+
+A fitted model is read-only: ``predict_proba``, ``decision`` and
+:func:`min_safe_parallelism` change none of its attributes, so one fitted
+M_f may back several tuners (``core.tuner.StreamTune`` shares each
+cluster's first model M_f⁰ that way).
 """
 from __future__ import annotations
 
@@ -455,15 +460,21 @@ class PlainNN:
         return _sigmoid(self.decision(h, p))
 
 
+#: Fine-tune kind → constructor ``(d, seed)`` of its model M_f: the one
+#: list of kinds, which ``make_model`` builds and ``tables.EvalConfig``
+#: accepts.
+MODELS = {
+    "svm": lambda d, seed: MonotoneSVM(d, seed=seed),
+    "xgboost": lambda d, seed: MonotoneGBDT(seed=seed),
+    "nn": lambda d, seed: PlainNN(d, seed=seed),
+}
+
+
 def make_model(kind: str, d: int, *, seed: int = 0):
     """Factory for the fine-tuning model M_f."""
-    if kind == "svm":
-        return MonotoneSVM(d, seed=seed)
-    if kind == "xgboost":
-        return MonotoneGBDT(seed=seed)
-    if kind == "nn":
-        return PlainNN(d, seed=seed)
-    raise ValueError(f"unknown fine-tune model {kind!r}")
+    if kind not in MODELS:
+        raise ValueError(f"unknown fine-tune model {kind!r}")
+    return MODELS[kind](d, seed)
 
 
 def min_safe_parallelism(

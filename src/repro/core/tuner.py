@@ -2,8 +2,11 @@
 
 One :class:`StreamTuneTuner` is attached to a target streaming job. At
 construction it routes the job's DAG to its nearest GED cluster,
-retrieves the frozen pre-trained encoder, and builds the warm-up
-dataset. Each call to :meth:`tune` reacts to a source-rate change:
+retrieves the frozen pre-trained encoder, and starts T from the
+cluster's warm-up dataset. The warm-up set belongs to the cluster, not
+to the job: :class:`StreamTune` builds it, and the first model M_f⁰ fit
+to it, once per cluster for every tuner it makes. Each call to
+:meth:`tune` reacts to a source-rate change:
 
   do:
     fit the monotone model M_f to T;
@@ -129,31 +132,76 @@ class _AtRate:
     cooldown: int = 0
 
 
-class StreamTuneTuner:
-    """Algorithm 2 against the simulated engine."""
+def _fit(kind: str, seed: int, h, p, y, w):
+    """M_f of ``kind`` fit to the freshest ``MAX_HISTORY`` points of
+    T = (h, p, y) with sample weights ``w``, or None when T holds fewer
+    than two classes."""
+    if len(np.unique(y)) < 2:
+        return None
+    h, p, y, w = h[-MAX_HISTORY:], p[-MAX_HISTORY:], y[-MAX_HISTORY:], w[-MAX_HISTORY:]
+    return make_model(kind, d=h.shape[1], seed=seed).fit(h, p, y, sample_weight=w)
 
-    def __init__(
-        self,
-        bundle: PretrainedBundle,
-        workload: Workload,
-        *,
-        model_kind: str = "svm",
-        seed: int = 0,
-    ) -> None:
-        self.bundle = bundle
+
+@dataclass
+class WarmStart:
+    """A cluster's warm start (Alg. 2, line 3): the warm-up points
+    ``(h, p, y)`` drawn from its history, and per fine-tune kind the first
+    model M_f⁰ fit to them alone (None where they hold one class), fit on
+    first use. A tuner copies the points into its own T and only reads
+    the models."""
+
+    h: np.ndarray
+    p: np.ndarray
+    y: np.ndarray
+    seed: int
+    models: dict[str, object] = field(default_factory=dict)
+
+    def model(self, kind: str):
+        if kind not in self.models:
+            self.models[kind] = _fit(kind, self.seed, self.h, self.p, self.y, np.ones(len(self.y)))
+        return self.models[kind]
+
+
+class StreamTune:
+    """StreamTune on one pre-trained bundle with one seed: it makes the
+    tuners and owns what they share. A warm start depends only on the
+    bundle, the cluster and the seed, so each cluster's is built once, for
+    the first tuner routed to it, and handed to every later one."""
+
+    def __init__(self, bundle: PretrainedBundle, seed: int) -> None:
+        self.bundle, self.seed = bundle, seed
+        self._warm: dict[int, WarmStart] = {}
+
+    def tuner(self, workload: Workload, model_kind: str) -> StreamTuneTuner:
+        """A tuner for ``workload`` whose fine-tune model is ``model_kind``."""
+        return StreamTuneTuner(self, workload, model_kind)
+
+    def warm_start(self, cluster: int) -> WarmStart:
+        """The cluster's warm start, built on first use."""
+        if cluster not in self._warm:
+            h, p, y = self.bundle.warmup_dataset(cluster, max_points=WARM_POINTS, seed=self.seed)
+            self._warm[cluster] = WarmStart(h, p, y, self.seed)
+        return self._warm[cluster]
+
+
+class StreamTuneTuner:
+    """Algorithm 2 against the simulated engine; made by :meth:`StreamTune.tuner`."""
+
+    def __init__(self, owner: StreamTune, workload: Workload, model_kind: str) -> None:
+        self.bundle = owner.bundle
         self.wl = workload
         self.model_kind = model_kind
-        self.seed = seed
-        self.cluster = bundle.cluster_for(workload.dag)  # Alg. 2, line 1
-        self.enc = bundle.encoders[self.cluster]  # line 2
-        h, p, y = bundle.warmup_dataset(self.cluster, max_points=WARM_POINTS, seed=seed)  # line 3
-        self._h: list[np.ndarray] = list(h)
-        self._p: list[float] = list(np.asarray(p))
-        self._y: list[int] = list(np.asarray(y))
+        self.seed = owner.seed
+        self.cluster = self.bundle.cluster_for(workload.dag)  # Alg. 2, line 1
+        self.enc = self.bundle.encoders[self.cluster]  # line 2
+        self._warm = owner.warm_start(self.cluster)  # line 3
+        self._h: list[np.ndarray] = list(self._warm.h)
+        self._p: list[float] = list(self._warm.p)
+        self._y: list[int] = list(self._warm.y)
         #: sample weights: 1 per warm-up point, FEEDBACK_WEIGHT per ΔT point
         self._w: list[float] = [1.0] * len(self._y)
         self._rates: dict[tuple, _AtRate] = {}
-        self._deployer = Deployer(workload, seed, 7919)
+        self._deployer = Deployer(workload, self.seed, 7919)
         #: Model cache: refit only when T has grown meaningfully.
         self._model = None
         self._fitted_at = -1
@@ -161,20 +209,19 @@ class StreamTuneTuner:
     # -- helpers -----------------------------------------------------------
     def _fit_model(self):
         """Fit M_f (monotone) to the current dataset T (Alg. 2, line 5).
-        Cached between calls until enough new feedback accumulates."""
-        y = np.asarray(self._y)
-        if len(y) == 0 or len(np.unique(y)) < 2:
-            return None  # degenerate T: keep current parallelism
-        if self._model is not None and len(y) - self._fitted_at < REFIT_MIN_NEW:
+        Cached between calls until enough new feedback accumulates; while
+        T holds only the warm-up points, M_f is the cluster's shared M_f⁰."""
+        n = len(self._y)
+        if self._model is not None and n - self._fitted_at < REFIT_MIN_NEW:
             return self._model
-        h = np.vstack(self._h)
-        p = np.asarray(self._p)
-        w = np.asarray(self._w)
-        if len(y) > MAX_HISTORY:  # keep the freshest feedback
-            h, p, y, w = h[-MAX_HISTORY:], p[-MAX_HISTORY:], y[-MAX_HISTORY:], w[-MAX_HISTORY:]
-        model = make_model(self.model_kind, d=h.shape[1], seed=self.seed)
-        self._model = model.fit(h, p, y, sample_weight=w)
-        self._fitted_at = len(self._y)
+        if n == len(self._warm.y):
+            self._model = self._warm.model(self.model_kind)
+        else:
+            self._model = _fit(
+                self.model_kind, self.seed, np.vstack(self._h),
+                np.asarray(self._p), np.asarray(self._y), np.asarray(self._w),
+            )
+        self._fitted_at = n
         return self._model
 
     def _embeddings(self, rates: dict[str, float]) -> dict[str, np.ndarray]:

@@ -2,8 +2,9 @@
 
 Shared protocol (§V-A): the periodic source-rate pattern (120 changes at
 full scale; ``pattern_perms`` scales it down for CI-speed runs), tuners
-carry deployed parallelism across changes, and the same pre-trained
-bundle backs every StreamTune tuner. ``run_evaluation`` runs it once on
+carry deployed parallelism across changes, and one ``StreamTune`` on
+one pre-trained bundle makes every StreamTune tuner, each cluster's warm
+start built once for all of them. ``run_evaluation`` runs it once on
 either engine (``EvalConfig.system``) and returns an ``EvalRun``; the
 extractors below read that run. A column evaluates the catalogue's jobs
 of that ``Workload.group``: a Nexmark query its one job, a PQP group its
@@ -25,8 +26,9 @@ import pandas as pd
 from repro.baselines.conttune import ContTuneTuner
 from repro.baselines.ds2 import DS2Tuner
 from repro.baselines.zerotune import ZeroTuneCostModel, ZeroTuneTuner
-from repro.core.pretrain import PretrainedBundle, pretrain
-from repro.core.tuner import PatternRunStats, StreamTuneTuner, run_pattern
+from repro.core.monotonic import MODELS
+from repro.core.pretrain import pretrain
+from repro.core.tuner import PatternRunStats, StreamTune, run_pattern
 from repro.history import HistoryRecord, generate_history, generate_history_local
 from repro.sim.engine import epoch_latencies
 from repro.sim.source_rates import periodic_pattern
@@ -56,7 +58,7 @@ class EvalConfig:
     pqp_per_group: int = 2  # queries evaluated per PQP template group
     history_per_workload: int = 250
     pretrain_epochs: int = 50
-    model_kind: str = "xgboost"  # StreamTune's fine-tune layer
+    model_kind: str = "xgboost"  # StreamTune's fine-tune layer, a key of MODELS
     seed: int = 3
     k_clusters: int | None = 1  # None → elbow; 1 → global encoder
 
@@ -65,15 +67,18 @@ class EvalConfig:
             raise ValueError(f"unknown system {self.system!r}")
         if min(self.pattern_perms, self.pqp_per_group) < 1:
             raise ValueError(f"pattern_perms {self.pattern_perms}, pqp_per_group {self.pqp_per_group}: need >= 1")
+        if self.model_kind not in MODELS:
+            raise ValueError(f"unknown fine-tune model {self.model_kind!r}")
 
 
 @dataclass
 class EvalRun:
     """The pattern and every pattern-run statistic of one sweep, reusable
-    across the table extractors."""
+    across the table extractors, and the sweep's StreamTune: its bundle
+    and the warm starts it has built."""
 
     config: EvalConfig
-    bundle: PretrainedBundle
+    streamtune: StreamTune
     pattern: list[int] = field(default_factory=list)
     #: method → column → one PatternRunStats per evaluated job
     stats: dict[str, dict[str, list[PatternRunStats]]] = field(default_factory=dict)
@@ -118,7 +123,8 @@ def run_evaluation(
         )
 
     pattern = periodic_pattern(n_permutations=cfg.pattern_perms, seed=7)
-    run = EvalRun(config=cfg, bundle=bundle, pattern=pattern)
+    streamtune = StreamTune(bundle, cfg.seed)
+    run = EvalRun(config=cfg, streamtune=streamtune, pattern=pattern)
     methods: dict[str, object] = {
         "DS2": lambda wl: DS2Tuner(wl, seed=cfg.seed),
         "ContTune": lambda wl: ContTuneTuner(wl, seed=cfg.seed),
@@ -127,7 +133,7 @@ def run_evaluation(
             if (zt_model is not None and wl.name in pqp_jobs)
             else None
         ),
-        "StreamTune": lambda wl: StreamTuneTuner(bundle, wl, model_kind=cfg.model_kind, seed=cfg.seed),
+        "StreamTune": lambda wl: streamtune.tuner(wl, cfg.model_kind),
     }
     for method, mk in methods.items():
         run.stats[method] = {}
@@ -276,13 +282,16 @@ def fig11a_models(
     run: EvalRun, *, queries: tuple[str, ...] = ("Q3", "Q5", "Q8")
 ) -> pd.DataFrame:
     """Fig. 11a (as a table): fine-tuning-model ablation — SVM and
-    XGBoost honour the monotonic constraint, the NN does not."""
+    XGBoost honour the monotonic constraint, the NN does not. The tuners
+    come from the sweep's StreamTune: they share its warm-up set, each
+    kind's first model M_f⁰ is fit once for all queries, and the sweep's
+    own kind reuses the sweep's."""
     cat = full_catalogue(run.config.system).values()
     rows = []
     for col in queries:
         wl = next(wl for wl in cat if wl.group == col)
-        for kind in ("svm", "xgboost", "nn"):
-            tuner = StreamTuneTuner(run.bundle, wl, model_kind=kind, seed=run.config.seed)
+        for kind in MODELS:
+            tuner = run.streamtune.tuner(wl, kind)
             st = run_pattern(tuner, wl, run.pattern, method_name=f"st-{kind}")
             rows.append(
                 {

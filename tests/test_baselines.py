@@ -111,6 +111,29 @@ class TestGaussianProcess:
         mu, _ = gp.predict(x)
         np.testing.assert_allclose(mu, y, rtol=0.05)
 
+    def test_matches_closed_form_posterior_on_repeated_x(self):
+        """ContTune's history repeats a degree many times; the solved
+        posterior equals the textbook one written with K⁻¹."""
+        rng = np.random.default_rng(0)
+        x = rng.integers(1, 6, size=48).astype(float)  # 5 degrees, ~10 times each
+        y = 40.0 * x**0.8 + rng.normal(0, 3.0, size=len(x))
+        xs = np.arange(1.0, 13.0)
+        gp = GaussianProcess1D(length_scale=4.0).fit(x, y)
+        mu, sd = gp.predict(xs)
+
+        def rbf(a, b):
+            return np.exp(-0.5 * ((a[:, None] - b[None, :]) / 4.0) ** 2)
+
+        k_inv = np.linalg.inv(rbf(x, x) + 0.05**2 * np.eye(len(x)))
+        ks = rbf(xs, x)
+        yn = (y - y.mean()) / y.std()
+        want_mu = ks @ k_inv @ yn * y.std() + y.mean()
+        want_var = 1.0 - np.diag(ks @ k_inv @ ks.T)
+        want_sd = np.sqrt(np.maximum(want_var, 1e-12)) * y.std()
+        np.testing.assert_allclose(mu, want_mu, rtol=1e-9)
+        np.testing.assert_allclose(sd, want_sd, rtol=1e-6)
+        assert sd[:5].max() < sd[-1]  # tight at the repeated degrees, wide beyond
+
 
 class TestContTune:
     def test_no_backpressure_after_convergence(self, q5):

@@ -48,6 +48,29 @@ class TestAllModels:
         pr = m.predict_proba(h[:50], p[:50])
         assert np.all(pr >= 0) and np.all(pr <= 1)
 
+    def test_fitted_model_is_read_only(self, kind):
+        """Tuners share a fitted M_f: predicting and the boundary scan
+        change none of its attributes, arrays and random state included."""
+        h, p, y, _ = _boundary_data(n=200)
+        m = MODELS[kind](h.shape[1]).fit(h, p, y)
+
+        def snapshot():
+            out = {}
+            for k, v in vars(m).items():
+                if isinstance(v, np.ndarray):
+                    out[k] = (v.dtype, v.shape, v.tobytes())
+                elif isinstance(v, np.random.Generator):
+                    out[k] = repr(v.bit_generator.state)
+                else:
+                    out[k] = repr(v)
+            return out
+
+        before = snapshot()
+        assert any(isinstance(v, np.ndarray) for v in vars(m).values())
+        m.predict_proba(h[:20], p[:20])
+        min_safe_parallelism(m, h[0], 40, lambda ps: ps / 40.0)
+        assert snapshot() == before
+
     def test_handles_sample_weight(self, kind):
         h, p, y, _ = _boundary_data(n=200)
         w = np.ones(len(y))

@@ -56,14 +56,15 @@ class TestPretrainGlobal:
     def test_one_cluster_runs_no_ged(self, history, monkeypatch):
         """With one cluster there is nothing to cluster or route: neither
         pre-training nor a tuner's cluster lookup runs a GED search."""
-        from repro.core.tuner import StreamTuneTuner
+        from repro.core.tuner import StreamTune
 
         runs = []
         search = ged_mod._Search.run
         monkeypatch.setattr(ged_mod._Search, "run", lambda s, t: runs.append(t) or search(s, t))
         b = pretrain(history, k=1, epochs=1, seed=0)
         cat = full_catalogue("flink")
-        tuners = [StreamTuneTuner(b, cat[n], seed=1) for n in ("nexmark_q1", "nexmark_q5")]
+        st = StreamTune(b, 1)
+        tuners = [st.tuner(cat[n], "xgboost") for n in ("nexmark_q1", "nexmark_q5")]
         assert len(b.centers) == 1 and [t.cluster for t in tuners] == [0, 0]
         assert runs == []
 

@@ -5,10 +5,11 @@ import pandas as pd
 import pytest
 
 from repro import tables
-from repro.core.pretrain import pretrain
-from repro.core.tuner import PatternRunStats
+from repro.core.monotonic import MonotoneGBDT
+from repro.core.pretrain import PretrainedBundle, pretrain
+from repro.core.tuner import PatternRunStats, StreamTune, run_pattern
 from repro.history import generate_history_local
-from repro.sim.workloads import nexmark_catalogue
+from repro.sim.workloads import full_catalogue, nexmark_catalogue
 from repro.tables import (
     EvalConfig,
     EvalRun,
@@ -37,7 +38,7 @@ def fake_run():
     cat = nexmark_catalogue("flink")
     hist = generate_history_local([cat["nexmark_q1"]], n_per_workload=10, seed=1)
     bundle = pretrain(hist, k=1, epochs=2, seed=0)
-    run = EvalRun(config=EvalConfig(), bundle=bundle)
+    run = EvalRun(config=EvalConfig(), streamtune=StreamTune(bundle, 3))
     run.stats = {
         "DS2": {"Q1": [_stats("nexmark_q1", "DS2", 3, 40, 20, 25)],
                 "Linear": [_stats("pqp_linear_0", "DS2", 1, 30, 20, 30),
@@ -157,8 +158,9 @@ class TestEvalJobs:
 class TestEvalConfig:
     @pytest.mark.parametrize(
         "bad",
-        [{"pattern_perms": 0}, {"pattern_perms": -1}, {"pqp_per_group": 0}, {"system": "storm"}],
-        ids=["perms0", "perms-1", "pqp0", "system"],
+        [{"pattern_perms": 0}, {"pattern_perms": -1}, {"pqp_per_group": 0}, {"system": "storm"},
+         {"model_kind": "xgb"}],
+        ids=["perms0", "perms-1", "pqp0", "system", "model"],
     )
     def test_bad_knobs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -188,6 +190,36 @@ class TestHarness:
         run_evaluation(EvalConfig(pattern_perms=1, pqp_per_group=1, history_per_workload=2,
                                   pretrain_epochs=1))
         assert trained == tuned == {"pqp_linear_0", "pqp_2way_0", "pqp_3way_0"}
+
+    def test_streamtune_tuners_share_one_warm_start(self, monkeypatch):
+        """Every StreamTune tuner of a sweep starts from its cluster's one
+        warm start: one warm-up set and one fit of M_f⁰ for three jobs,
+        and the same pattern runs as tuners that each build their own."""
+        builds, fits = [], []
+        warmup, fit = PretrainedBundle.warmup_dataset, MonotoneGBDT.fit
+        monkeypatch.setattr(PretrainedBundle, "warmup_dataset",
+                            lambda b, *a, **kw: builds.append(1) or warmup(b, *a, **kw))
+        monkeypatch.setattr(MonotoneGBDT, "fit",
+                            lambda m, h, p, y, **kw: fits.append(len(y)) or fit(m, h, p, y, **kw))
+        cfg = EvalConfig(system="timely", pattern_perms=1, history_per_workload=20,
+                         pretrain_epochs=2, seed=3)
+        run = run_evaluation(cfg)
+        n_warm = len(run.streamtune.warm_start(0).y)
+        assert (len(builds), fits.count(n_warm)) == (1, 1)
+
+        cat = full_catalogue("timely")
+        shared = run.stats["StreamTune"]
+        alone = {
+            col: [
+                run_pattern(StreamTune(run.streamtune.bundle, cfg.seed).tuner(cat[s.job], cfg.model_kind),
+                            cat[s.job], run.pattern, method_name="StreamTune")
+                for s in stats
+            ]
+            for col, stats in shared.items()
+        }
+        assert [s.job for col in alone.values() for s in col] == ["nexmark_q3", "nexmark_q5", "nexmark_q8"]
+        assert alone == shared
+        assert (len(builds), fits.count(n_warm)) == (4, 4)
 
     @pytest.mark.parametrize(
         "system, columns",

@@ -14,7 +14,7 @@ from repro.core.pretrain import pretrain
 from repro.core.tuner import (
     FEEDBACK_WEIGHT,
     Deployer,
-    StreamTuneTuner,
+    StreamTune,
     TuningProcess,
     run_pattern,
 )
@@ -49,13 +49,13 @@ def _true_need_total(wl, mult):
 class TestConstruction:
     def test_routes_to_cluster_and_builds_warmup(self, setup):
         cat, bundle = setup
-        t = StreamTuneTuner(bundle, cat["nexmark_q5"], seed=1)
+        t = StreamTune(bundle, 1).tuner(cat["nexmark_q5"], "xgboost")
         assert t.cluster == 0
         assert len(t._y) > 50
 
     def test_model_fit_cached(self, setup):
         cat, bundle = setup
-        t = StreamTuneTuner(bundle, cat["nexmark_q5"], model_kind="xgboost", seed=1)
+        t = StreamTune(bundle, 1).tuner(cat["nexmark_q5"], "xgboost")
         m1 = t._fit_model()
         m2 = t._fit_model()
         assert m1 is m2  # no new feedback → cached
@@ -65,7 +65,7 @@ class TestSingleProcess:
     def test_resolves_backpressure(self, setup):
         cat, bundle = setup
         wl = cat["nexmark_q5"]
-        t = StreamTuneTuner(bundle, wl, model_kind="xgboost", seed=1)
+        t = StreamTune(bundle, 1).tuner(wl, "xgboost")
         out = t.tune({o: 1 for o in wl.dag.tunable_operators()}, wl.rates(10))
         res = simulate(wl.dag, out.final_parallelism, wl.rates(10), seed=77)
         assert not res.job_backpressure
@@ -74,7 +74,7 @@ class TestSingleProcess:
     def test_parallelism_in_sane_range(self, setup):
         cat, bundle = setup
         wl = cat["nexmark_q5"]
-        t = StreamTuneTuner(bundle, wl, model_kind="xgboost", seed=1)
+        t = StreamTune(bundle, 1).tuner(wl, "xgboost")
         out = t.tune({o: 1 for o in wl.dag.tunable_operators()}, wl.rates(10))
         need = _true_need_total(wl, 10)
         assert need <= sum(out.final_parallelism.values()) <= int(2.0 * need)
@@ -82,7 +82,7 @@ class TestSingleProcess:
     def test_memoised_rate_redeploys_fast(self, setup):
         cat, bundle = setup
         wl = cat["nexmark_q5"]
-        t = StreamTuneTuner(bundle, wl, model_kind="xgboost", seed=1)
+        t = StreamTune(bundle, 1).tuner(wl, "xgboost")
         start = {o: 1 for o in wl.dag.tunable_operators()}
         first = t.tune(start, wl.rates(8))
         t.tune(first.final_parallelism, wl.rates(3))
@@ -93,7 +93,7 @@ class TestSingleProcess:
     def test_scale_down_on_lower_rate(self, setup):
         cat, bundle = setup
         wl = cat["nexmark_q5"]
-        t = StreamTuneTuner(bundle, wl, model_kind="xgboost", seed=1)
+        t = StreamTune(bundle, 1).tuner(wl, "xgboost")
         hi = t.tune({o: 1 for o in wl.dag.tunable_operators()}, wl.rates(10))
         lo = t.tune(hi.final_parallelism, wl.rates(2))
         assert sum(lo.final_parallelism.values()) < sum(hi.final_parallelism.values())
@@ -103,7 +103,7 @@ class TestCrossRateTransfer:
     def test_floor_transfer_monotone(self, setup):
         cat, bundle = setup
         wl = cat["nexmark_q5"]
-        t = StreamTuneTuner(bundle, wl, seed=1)
+        t = StreamTune(bundle, 1).tuner(wl, "xgboost")
         k_lo = t._rate_key(wl.rates(2))
         k_hi = t._rate_key(wl.rates(9))
         t._rates[k_lo] = tuner_mod._AtRate(floor={"wagg": 5})
@@ -113,7 +113,7 @@ class TestCrossRateTransfer:
     def test_cap_transfer_monotone(self, setup):
         cat, bundle = setup
         wl = cat["nexmark_q5"]
-        t = StreamTuneTuner(bundle, wl, seed=1)
+        t = StreamTune(bundle, 1).tuner(wl, "xgboost")
         k_hi = t._rate_key(wl.rates(9))
         t._rates[k_hi] = tuner_mod._AtRate(safe={"wagg": 20, "agg": 4, "join": 6})
         caps = t._transferred(t._rate_key(wl.rates(3)))[1]
@@ -125,7 +125,7 @@ class TestFeedback:
     def test_feedback_grows_dataset(self, setup):
         cat, bundle = setup
         wl = cat["nexmark_q5"]
-        t = StreamTuneTuner(bundle, wl, model_kind="xgboost", seed=1)
+        t = StreamTune(bundle, 1).tuner(wl, "xgboost")
         n0 = len(t._y)
         t.tune({o: 1 for o in wl.dag.tunable_operators()}, wl.rates(7))
         assert len(t._y) > n0
@@ -138,7 +138,7 @@ class TestFeedback:
         exactly as the offline history does."""
         wl = nexmark_catalogue("timely")["nexmark_q5"]
         hist = generate_history_local([wl], n_per_workload=10, seed=11)
-        t = StreamTuneTuner(pretrain(hist, k=1, epochs=2, seed=0), wl, seed=1)
+        t = StreamTune(pretrain(hist, k=1, epochs=2, seed=0), 1).tuner(wl, "xgboost")
         par = {o: 4 for o in wl.dag.tunable_operators()}
         probe = simulate(wl.dag, par, wl.rates(1), system="timely", seed=0).metrics["wagg"]
         rates = wl.rates(1.05 * probe.pa / probe.input_rate)
@@ -226,7 +226,7 @@ def pqp_tuners():
         "DS2": lambda: DS2Tuner(wl, seed=1),
         "ContTune": lambda: ContTuneTuner(wl, seed=1),
         "ZeroTune": lambda: ZeroTuneTuner(wl, model, seed=1),
-        "StreamTune": lambda: StreamTuneTuner(bundle, wl, seed=1),
+        "StreamTune": lambda: StreamTune(bundle, 1).tuner(wl, "xgboost"),
     }, wl
 
 
@@ -245,7 +245,7 @@ class TestPattern:
     def test_pattern_run_statistics(self, setup):
         cat, bundle = setup
         wl = cat["nexmark_q3"]
-        t = StreamTuneTuner(bundle, wl, model_kind="xgboost", seed=1)
+        t = StreamTune(bundle, 1).tuner(wl, "xgboost")
         pattern = [3, 7, 10, 1, 5]
         st = run_pattern(t, wl, pattern, method_name="st")
         assert st.n_processes == 5
@@ -260,7 +260,7 @@ class TestPattern:
         """The headline property: (near-)zero backpressure occurrences."""
         cat, bundle = setup
         wl = cat["nexmark_q5"]
-        t = StreamTuneTuner(bundle, wl, model_kind="xgboost", seed=1)
+        t = StreamTune(bundle, 1).tuner(wl, "xgboost")
         pattern = [3, 7, 4, 2, 1, 10, 8, 5, 6, 9]
         st = run_pattern(t, wl, pattern, method_name="st")
         assert st.total_backpressure <= 1
@@ -292,6 +292,6 @@ def test_tuning_leaves_the_bundle_alone():
     model = ZeroTuneCostModel(bundle.feature_encoder, seed=0).fit(hist, epochs=2, seed=0)
     before = _bundle_digest(bundle)
     pattern = periodic_pattern(n_permutations=1, seed=7)
-    run_pattern(StreamTuneTuner(bundle, wl, seed=1), wl, pattern, method_name="StreamTune")
+    run_pattern(StreamTune(bundle, 1).tuner(wl, "xgboost"), wl, pattern, method_name="StreamTune")
     run_pattern(ZeroTuneTuner(wl, model, seed=1), wl, pattern, method_name="ZeroTune")
     assert _bundle_digest(bundle) == before

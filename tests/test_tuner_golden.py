@@ -9,7 +9,7 @@ from repro.baselines.conttune import ContTuneTuner
 from repro.baselines.ds2 import DS2Tuner
 from repro.baselines.zerotune import ZeroTuneCostModel, ZeroTuneTuner
 from repro.core.pretrain import pretrain
-from repro.core.tuner import StreamTuneTuner
+from repro.core.tuner import StreamTune
 from repro.history import generate_history_local
 from repro.sim.workloads import full_catalogue
 
@@ -52,7 +52,7 @@ def _tuner(method, wl, bundle, zt):
         return ContTuneTuner(wl, seed=SEED)
     if method == "ZeroTune":
         return ZeroTuneTuner(wl, zt, seed=SEED)
-    return StreamTuneTuner(bundle, wl, model_kind="xgboost", seed=SEED)
+    return StreamTune(bundle, SEED).tuner(wl, "xgboost")
 
 
 def _processes(tuner, wl) -> list[dict]:
