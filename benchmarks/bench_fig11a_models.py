@@ -10,8 +10,7 @@ from repro.tables import fig11a_models
 
 def test_bench_fig11a(benchmark, eval_run):
     df = benchmark.pedantic(
-        fig11a_models, args=(eval_run,), kwargs=dict(queries=("Q3", "Q5", "Q8")),
-        rounds=1, iterations=1,
+        fig11a_models, args=(eval_run,), rounds=1, iterations=1,
     )
     print("\nFig. 11a — fine-tuning model ablation:")
     print(df.to_string(index=False))

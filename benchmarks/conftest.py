@@ -31,4 +31,4 @@ def eval_run():
         history_per_workload=HISTORY,
         model_kind="xgboost",
     )
-    return run_evaluation(cfg, verbose=False)
+    return run_evaluation(cfg)

@@ -44,4 +44,12 @@ def make_run(args, system: str = "flink"):
         model_kind=args.model,
         seed=args.seed,
     )
-    return run_evaluation(cfg, spark=spark, verbose=True)
+    run = run_evaluation(cfg, spark=spark)
+    # One line per (method, job) pattern run, then the seconds per stage.
+    for method, per_col in run.stats.items():
+        for stats in per_col.values():
+            for st in stats:
+                print(f"[{method}] {st.job}: bp={st.total_backpressure} "
+                      f"reconf={st.avg_reconfigs:.2f} p@10={st.final_parallelism_at.get(10)}")
+    print("stage timings (s): " + ", ".join(f"{stage} {secs:.2f}" for stage, secs in run.timings.items()))
+    return run

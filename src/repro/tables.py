@@ -5,12 +5,12 @@ full scale; ``pattern_perms`` scales it down for CI-speed runs), tuners
 carry deployed parallelism across changes, and one ``StreamTune`` on
 one pre-trained bundle makes every StreamTune tuner, each cluster's warm
 start built once for all of them. ``run_evaluation`` runs it once on
-either engine (``EvalConfig.system``) and returns an ``EvalRun``; the
-extractors below read that run. A column evaluates the catalogue's jobs
-of that ``Workload.group``: a Nexmark query its one job, a PQP group its
-first ``pqp_per_group`` templates, with counts scaled to the group's
-full template count (``PQP_TEMPLATES``) so they are comparable to the
-paper's totals.
+either engine (``EvalConfig.system``) and returns an ``EvalRun`` of every
+stage it built; the extractors below read that run. A column evaluates
+the catalogue's jobs of that ``Workload.group``: a Nexmark query its one
+job, a PQP group its first ``pqp_per_group`` templates, with counts
+scaled to the group's full template count (``PQP_TEMPLATES``) so they
+are comparable to the paper's totals.
 
 Extractors return pandas DataFrames shaped like the paper's tables;
 ``jobs/*.py`` print them, ``benchmarks/*.py`` time/regress them, and
@@ -18,6 +18,8 @@ EXPERIMENTS.md records paper-vs-ours side by side.
 """
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +31,7 @@ from repro.baselines.zerotune import ZeroTuneCostModel, ZeroTuneTuner
 from repro.core.monotonic import MODELS
 from repro.core.pretrain import pretrain
 from repro.core.tuner import PatternRunStats, StreamTune, run_pattern
-from repro.history import HistoryRecord, generate_history, generate_history_local
+from repro.history import generate_history, generate_history_local
 from repro.sim.engine import epoch_latencies
 from repro.sim.source_rates import periodic_pattern
 from repro.sim.workloads import PQP_TEMPLATES, SOURCE_RATE_UNITS, Workload, full_catalogue
@@ -65,93 +67,93 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.system not in PROTOCOLS:
             raise ValueError(f"unknown system {self.system!r}")
-        if min(self.pattern_perms, self.pqp_per_group) < 1:
-            raise ValueError(f"pattern_perms {self.pattern_perms}, pqp_per_group {self.pqp_per_group}: need >= 1")
+        if min(self.pattern_perms, self.pqp_per_group, self.history_per_workload) < 1 or self.pretrain_epochs < 0:
+            raise ValueError(f"{self}: the counts need >= 1, pretrain_epochs >= 0")
         if self.model_kind not in MODELS:
             raise ValueError(f"unknown fine-tune model {self.model_kind!r}")
 
 
 @dataclass
 class EvalRun:
-    """The pattern and every pattern-run statistic of one sweep, reusable
-    across the table extractors, and the sweep's StreamTune: its bundle
-    and the warm starts it has built."""
+    """Every stage of one sweep, each built from the ones before it; the
+    table extractors read it, and :func:`run_patterns` fills ``stats``
+    from the other fields alone."""
 
     config: EvalConfig
+    #: column → the evaluated workloads
+    jobs: dict[str, list[Workload]]
+    #: the sweep's StreamTune: its bundle and the warm starts it has built
     streamtune: StreamTune
+    #: ZeroTune's fitted cost model, or None when no PQP job is evaluated
+    zerotune: ZeroTuneCostModel | None = None
     pattern: list[int] = field(default_factory=list)
-    #: method → column → one PatternRunStats per evaluated job
+    #: method → column → one PatternRunStats per job the method ran on
     stats: dict[str, dict[str, list[PatternRunStats]]] = field(default_factory=dict)
+    #: stage (history, pretrain, zerotune, or a method's pattern runs) → seconds
+    timings: dict[str, float] = field(default_factory=dict)
 
 
-def _eval_jobs(cfg: EvalConfig) -> dict[str, list[str]]:
-    """Column → workload names evaluated for it: the first
-    ``pqp_per_group`` catalogue jobs of that group."""
+def _eval_jobs(cfg: EvalConfig) -> dict[str, list[Workload]]:
+    """Column → the evaluated workloads: the first ``pqp_per_group``
+    catalogue jobs of that group."""
     cat = full_catalogue(cfg.system).values()
     return {
-        col: [wl.name for wl in cat if wl.group == col][: cfg.pqp_per_group]
+        col: [wl for wl in cat if wl.group == col][: cfg.pqp_per_group]
         for col in PROTOCOLS[cfg.system][0]
     }
 
 
-def _history(spark, workloads: list[Workload], n_per_workload: int, seed: int) -> list[HistoryRecord]:
-    """The execution history: a Spark sweep when a session is given."""
-    if spark is None:
-        return generate_history_local(workloads, n_per_workload=n_per_workload, seed=seed)
-    return generate_history(spark, workloads, n_per_workload=n_per_workload, seed=seed)
+@contextmanager
+def _timed(timings: dict[str, float], stage: str):
+    """Store the seconds the ``with`` body took as ``timings[stage]``."""
+    t0 = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - t0
 
 
-def run_evaluation(
-    cfg: EvalConfig | None = None, *, spark=None, verbose: bool = False
-) -> EvalRun:
-    """Pre-train once on ``cfg.system``'s history, then drive DS2 /
-    ContTune / ZeroTune / StreamTune through the periodic pattern on every
-    evaluated job. ZeroTune runs only where PQP history exists."""
+def run_evaluation(cfg: EvalConfig | None = None, *, spark=None) -> EvalRun:
+    """Build a sweep's stages on ``cfg.system`` in order: the evaluated
+    jobs, their history, one pre-trained bundle, ZeroTune's cost model on
+    the PQP jobs' history, the pattern; then :func:`run_patterns`."""
     cfg = cfg or EvalConfig()
-    cat = full_catalogue(cfg.system)
     jobs = _eval_jobs(cfg)
-    workloads = [cat[n] for n in sorted({n for names in jobs.values() for n in names})]
-    history = _history(spark, workloads, cfg.history_per_workload, seed=PROTOCOLS[cfg.system][1])
-    bundle = pretrain(history, k=cfg.k_clusters, epochs=cfg.pretrain_epochs, seed=0, spark=spark)
-    # ZeroTune learns from, and tunes, the PQP jobs (paper §V-A).
-    pqp_jobs = {wl.name for wl in workloads if wl.group in PQP_TEMPLATES}
-    pqp_hist = [r for r in history if r.job in pqp_jobs]
-    zt_model = None
-    if pqp_hist:
+    by_name = {wl.name: wl for wls in jobs.values() for wl in wls}
+    workloads = [by_name[n] for n in sorted(by_name)]
+    timings: dict[str, float] = {}
+    with _timed(timings, "history"):  # a Spark sweep when a session is given
+        kw = dict(n_per_workload=cfg.history_per_workload, seed=PROTOCOLS[cfg.system][1])
+        history = (generate_history_local(workloads, **kw) if spark is None
+                   else generate_history(spark, workloads, **kw))
+    with _timed(timings, "pretrain"):
+        bundle = pretrain(history, k=cfg.k_clusters, epochs=cfg.pretrain_epochs, seed=0, spark=spark)
+    with _timed(timings, "zerotune"):
+        pqp_hist = [r for r in history if by_name[r.job].group in PQP_TEMPLATES]
         zt_model = ZeroTuneCostModel(bundle.feature_encoder, seed=0).fit(
-            pqp_hist, epochs=cfg.pretrain_epochs, seed=0
-        )
+            pqp_hist, epochs=cfg.pretrain_epochs, seed=0) if pqp_hist else None
+    return run_patterns(EvalRun(
+        config=cfg, jobs=jobs, streamtune=StreamTune(bundle, cfg.seed), zerotune=zt_model,
+        pattern=periodic_pattern(n_permutations=cfg.pattern_perms, seed=7), timings=timings,
+    ))
 
-    pattern = periodic_pattern(n_permutations=cfg.pattern_perms, seed=7)
-    streamtune = StreamTune(bundle, cfg.seed)
-    run = EvalRun(config=cfg, streamtune=streamtune, pattern=pattern)
-    methods: dict[str, object] = {
-        "DS2": lambda wl: DS2Tuner(wl, seed=cfg.seed),
-        "ContTune": lambda wl: ContTuneTuner(wl, seed=cfg.seed),
-        "ZeroTune": lambda wl: (
-            ZeroTuneTuner(wl, zt_model, seed=cfg.seed)
-            if (zt_model is not None and wl.name in pqp_jobs)
-            else None
-        ),
-        "StreamTune": lambda wl: streamtune.tuner(wl, cfg.model_kind),
+
+def run_patterns(run: EvalRun) -> EvalRun:
+    """Drive DS2 / ContTune / ZeroTune / StreamTune through ``run.pattern``
+    on every job of ``run.jobs`` (ZeroTune on the PQP ones only), filling
+    ``run.stats`` and each method's entry of ``run.timings``."""
+    seed = run.config.seed
+    methods = {
+        "DS2": lambda wl: DS2Tuner(wl, seed=seed),
+        "ContTune": lambda wl: ContTuneTuner(wl, seed=seed),
+        "ZeroTune": lambda wl: ZeroTuneTuner(wl, run.zerotune, seed=seed),
+        "StreamTune": lambda wl: run.streamtune.tuner(wl, run.config.model_kind),
     }
-    for method, mk in methods.items():
-        run.stats[method] = {}
-        for col, names in jobs.items():
-            run.stats[method][col] = col_stats = []
-            for name in names:
-                wl = cat[name]
-                if (tuner := mk(wl)) is None:
-                    continue
-                st = run_pattern(tuner, wl, pattern, method_name=method)
-                col_stats.append(st)
-                if verbose:
-                    print(
-                        f"[{method}] {name}: bp={st.total_backpressure} "
-                        f"reconf={st.avg_reconfigs:.2f} "
-                        f"p@10={st.final_parallelism_at.get(10)}",
-                        flush=True,
-                    )
+    for method, make in methods.items():
+        with _timed(run.timings, method):
+            run.stats[method] = {
+                col: [run_pattern(make(wl), wl, run.pattern, method_name=method)
+                      for wl in wls if method != "ZeroTune" or wl.group in PQP_TEMPLATES]
+                for col, wls in run.jobs.items()
+            }
     return run
 
 
@@ -250,12 +252,10 @@ def fig8_timely(run: EvalRun) -> pd.DataFrame:
     """Fig. 8 (as a table): final total parallelism at 10·W_u plus
     per-epoch latency percentiles under each method's recommendation, per
     query of a Timely sweep."""
-    cat = full_catalogue(run.config.system)
     rows = []
-    for col in PROTOCOLS[run.config.system][0]:
+    for col, wls in run.jobs.items():
         for method in ("DS2", "ContTune", "StreamTune"):
-            for st in run.stats[method][col]:
-                wl = cat[st.job]
+            for wl, st in zip(wls, run.stats[method][col], strict=True):
                 # Latency CDF under the configuration the pattern run reached
                 # at 10·W_u — the one whose total parallelism is reported.
                 lat = epoch_latencies(
@@ -278,21 +278,22 @@ def fig8_timely(run: EvalRun) -> pd.DataFrame:
 # -- Ablations (Fig. 11) -----------------------------------------------------
 
 
-def fig11a_models(
-    run: EvalRun, *, queries: tuple[str, ...] = ("Q3", "Q5", "Q8")
-) -> pd.DataFrame:
+#: Queries of the Fig. 11a ablation.
+FIG11A_QUERIES = ("Q3", "Q5", "Q8")
+
+
+def fig11a_models(run: EvalRun) -> pd.DataFrame:
     """Fig. 11a (as a table): fine-tuning-model ablation — SVM and
-    XGBoost honour the monotonic constraint, the NN does not. The tuners
-    come from the sweep's StreamTune: they share its warm-up set, each
-    kind's first model M_f⁰ is fit once for all queries, and the sweep's
-    own kind reuses the sweep's."""
-    cat = full_catalogue(run.config.system).values()
+    XGBoost honour the monotonic constraint, the NN does not. The sweep's
+    own kind reads the sweep's StreamTune rows; each other kind runs on the
+    query's first job with a tuner from the sweep's StreamTune, so it
+    shares its warm-up set and fits its first model M_f⁰ once."""
     rows = []
-    for col in queries:
-        wl = next(wl for wl in cat if wl.group == col)
+    for col in FIG11A_QUERIES:
+        wl = run.jobs[col][0]
         for kind in MODELS:
-            tuner = run.streamtune.tuner(wl, kind)
-            st = run_pattern(tuner, wl, run.pattern, method_name=f"st-{kind}")
+            st = (run.stats["StreamTune"][col][0] if kind == run.config.model_kind
+                  else run_pattern(run.streamtune.tuner(wl, kind), wl, run.pattern, method_name=f"st-{kind}"))
             rows.append(
                 {
                     "Query": col,
@@ -314,8 +315,6 @@ def fig11b_simcenter(
     median of 5 runs on a fresh memo, with the A* states each run
     expanded, a count that does not depend on the host. The two paths
     alternate within each repeat, so host-speed drift hits both alike."""
-    import time
-
     from repro.graphs.ged import GEDCache
     from repro.graphs.similarity import similarity_center
 

@@ -1,6 +1,8 @@
 """Tests for the evaluation-table extractors (pure logic, no tuning),
 and for the evaluation harness on both engines at tiny knobs (the
 full-scale sweeps are exercised by the benchmarks)."""
+import functools
+
 import pandas as pd
 import pytest
 
@@ -9,7 +11,7 @@ from repro.core.monotonic import MonotoneGBDT
 from repro.core.pretrain import PretrainedBundle, pretrain
 from repro.core.tuner import PatternRunStats, StreamTune, run_pattern
 from repro.history import generate_history_local
-from repro.sim.workloads import full_catalogue, nexmark_catalogue
+from repro.sim.workloads import nexmark_catalogue
 from repro.tables import (
     EvalConfig,
     EvalRun,
@@ -17,8 +19,10 @@ from repro.tables import (
     fig7_reconfigurations,
     fig7b_tuning_minutes,
     fig8_timely,
+    fig11a_models,
     fig11b_simcenter,
     run_evaluation,
+    run_patterns,
     table2_source_rates,
     table3_backpressure,
 )
@@ -38,7 +42,7 @@ def fake_run():
     cat = nexmark_catalogue("flink")
     hist = generate_history_local([cat["nexmark_q1"]], n_per_workload=10, seed=1)
     bundle = pretrain(hist, k=1, epochs=2, seed=0)
-    run = EvalRun(config=EvalConfig(), streamtune=StreamTune(bundle, 3))
+    run = EvalRun(config=EvalConfig(), jobs={}, streamtune=StreamTune(bundle, 3))
     run.stats = {
         "DS2": {"Q1": [_stats("nexmark_q1", "DS2", 3, 40, 20, 25)],
                 "Linear": [_stats("pqp_linear_0", "DS2", 1, 30, 20, 30),
@@ -132,6 +136,23 @@ _RECORDED = {
 }
 
 
+#: Columns of each engine's tiny sweep.
+_TINY_COLUMNS = {"flink": ("Q5", "Linear"), "timely": ("Q3", "Q5", "Q8")}
+
+
+@functools.cache
+def _tiny_run(system: str) -> EvalRun:
+    """A sweep at tiny knobs, on ``_TINY_COLUMNS[system]``: narrowed the
+    way perfbench narrows its Flink sweep, by replacing
+    ``tables._eval_jobs`` with a one-argument filter."""
+    full = tables._eval_jobs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tables, "_eval_jobs",
+                   lambda cfg: {c: n for c, n in full(cfg).items() if c in _TINY_COLUMNS[system]})
+        return run_evaluation(EvalConfig(system=system, pattern_perms=1, pqp_per_group=1,
+                                         history_per_workload=20, pretrain_epochs=2, seed=3))
+
+
 #: ``_eval_jobs`` as recorded before the catalogue carried its columns.
 _NEXMARK = {"Q1": ["nexmark_q1"], "Q2": ["nexmark_q2"], "Q3": ["nexmark_q3"],
             "Q5": ["nexmark_q5"], "Q8": ["nexmark_q8"]}
@@ -147,20 +168,20 @@ class TestEvalJobs:
     def test_flink(self, k):
         got = tables._eval_jobs(EvalConfig(system="flink", pqp_per_group=k))
         want = _NEXMARK | {col: names[:k] for col, names in _PQP.items()}
-        assert list(got.items()) == list(want.items())
+        assert [(col, [wl.name for wl in wls]) for col, wls in got.items()] == list(want.items())
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_timely(self, k):
         got = tables._eval_jobs(EvalConfig(system="timely", pqp_per_group=k))
-        assert list(got.items()) == list(_TIMELY.items())
+        assert [(col, [wl.name for wl in wls]) for col, wls in got.items()] == list(_TIMELY.items())
 
 
 class TestEvalConfig:
     @pytest.mark.parametrize(
         "bad",
         [{"pattern_perms": 0}, {"pattern_perms": -1}, {"pqp_per_group": 0}, {"system": "storm"},
-         {"model_kind": "xgb"}],
-        ids=["perms0", "perms-1", "pqp0", "system", "model"],
+         {"model_kind": "xgb"}, {"history_per_workload": 0}, {"pretrain_epochs": -1}],
+        ids=["perms0", "perms-1", "pqp0", "system", "model", "history0", "epochs-1"],
     )
     def test_bad_knobs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -207,36 +228,64 @@ class TestHarness:
         n_warm = len(run.streamtune.warm_start(0).y)
         assert (len(builds), fits.count(n_warm)) == (1, 1)
 
-        cat = full_catalogue("timely")
         shared = run.stats["StreamTune"]
         alone = {
             col: [
-                run_pattern(StreamTune(run.streamtune.bundle, cfg.seed).tuner(cat[s.job], cfg.model_kind),
-                            cat[s.job], run.pattern, method_name="StreamTune")
-                for s in stats
+                run_pattern(StreamTune(run.streamtune.bundle, cfg.seed).tuner(wl, cfg.model_kind),
+                            wl, run.pattern, method_name="StreamTune")
+                for wl in wls
             ]
-            for col, stats in shared.items()
+            for col, wls in run.jobs.items()
         }
         assert [s.job for col in alone.values() for s in col] == ["nexmark_q3", "nexmark_q5", "nexmark_q8"]
         assert alone == shared
         assert (len(builds), fits.count(n_warm)) == (4, 4)
 
-    @pytest.mark.parametrize(
-        "system, columns",
-        [("flink", ("Q5", "Linear")), ("timely", ("Q3", "Q5", "Q8"))],
-        ids=["flink", "timely"],
-    )
-    def test_tables_match_recorded(self, system, columns, monkeypatch):
-        # Narrowed the way perfbench narrows its Flink sweep: by replacing
-        # ``tables._eval_jobs`` with a one-argument filter.
-        full = tables._eval_jobs
-        monkeypatch.setattr(
-            tables, "_eval_jobs", lambda cfg: {c: n for c, n in full(cfg).items() if c in columns}
-        )
-        cfg = EvalConfig(system=system, pattern_perms=1, pqp_per_group=1,
-                         history_per_workload=20, pretrain_epochs=2, seed=3)
-        run = run_evaluation(cfg)
-        assert all(list(per_col) == list(columns) for per_col in run.stats.values())
+    @pytest.mark.parametrize("system", ["flink", "timely"])
+    def test_tables_match_recorded(self, system):
+        run = _tiny_run(system)
+        assert all(list(per_col) == list(_TINY_COLUMNS[system]) for per_col in run.stats.values())
         for extract, want in _RECORDED[system].items():
             got = extract(run)
             pd.testing.assert_frame_equal(got[list(want.columns)], want, check_exact=True)
+
+    @pytest.mark.parametrize("system", ["flink", "timely"])
+    def test_patterns_rerun_on_an_assembled_run(self, system):
+        """``run_patterns`` reads only the run's own stages: a run assembled
+        from a cold sweep's jobs, pattern and ZeroTune model and a fresh
+        StreamTune on its bundle gives the cold sweep's stats."""
+        cold = _tiny_run(system)
+        assert set(cold.timings) == {"history", "pretrain", "zerotune", *_METHODS}
+        assert all(t >= 0 for t in cold.timings.values())
+        cfg = cold.config
+        run = EvalRun(config=cfg, jobs=cold.jobs, streamtune=StreamTune(cold.streamtune.bundle, cfg.seed),
+                      zerotune=cold.zerotune, pattern=cold.pattern)
+        assert run_patterns(run).stats == cold.stats
+        assert set(run.timings) == set(_METHODS)
+        if system == "flink":
+            assert [s.job for s in run.stats["ZeroTune"]["Linear"]] == ["pqp_linear_0"]
+
+
+#: ``fig11a_models`` of the tiny Timely sweep, as recorded when it re-ran
+#: the sweep's own XGBOOST rows.
+_FIG11A_TIMELY = pd.DataFrame(
+    {
+        "Query": ["Q3"] * 3 + ["Q5"] * 3 + ["Q8"] * 3,
+        "Model": ["SVM", "XGBOOST", "NN"] * 3,
+        "monotonic": [True, True, False] * 3,
+        "backpressure occurrences": [0] * 9,
+        "total parallelism @10Wu": [7, 9, 10, 10, 12, 15, 9, 9, 9],
+        "avg reconfigs": [0.7, 0.85, 1.2, 1.15, 1.15, 1.4, 0.7, 1.1, 1.05],
+    }
+)
+
+
+def test_fig11a_reads_the_sweeps_rows(monkeypatch):
+    """Fig. 11a takes the configured kind's rows from the sweep and runs
+    only the other two kinds: 6 pattern runs, the recorded frame."""
+    run = _tiny_run("timely")
+    calls = []
+    monkeypatch.setattr(tables, "run_pattern", lambda *a, **kw: calls.append(kw) or run_pattern(*a, **kw))
+    got = fig11a_models(run)
+    assert len(calls) == 6
+    assert got.equals(_FIG11A_TIMELY)
