@@ -128,8 +128,14 @@ def pretrain(
     """Cluster the history by GED and pre-train one GNN per cluster.
 
     ``k=None`` selects k with the elbow method over the distinct DAG
-    structures (paper §V-A). ``spark`` distributes the k-means assignment
-    step; training itself is per-cluster numpy (graphs are tiny). ``k == 1``
+    structures (paper §V-A). Each cluster's encoder trains independently
+    of the others; with ``spark`` and ``k > 1`` the clusters train in one
+    Spark job, an RDD of cluster indices with one partition each, the
+    records and feature encoder pickled with the worker function and the
+    trained encoders collected in cluster order, bit-identical to training
+    them in turn on the driver, as happens otherwise. ``spark`` also
+    reaches the k-means assignment step (see
+    :mod:`repro.graphs.clustering`). ``k == 1``
     is the §VII fallback for limited histories, one global encoder: there
     is nothing to cluster or route, no similarity center is searched for,
     and the bundle's one center is the first record's DAG. The parallelism
@@ -159,22 +165,25 @@ def pretrain(
     cluster_records: list[list[HistoryRecord]] = [[] for _ in range(k)]
     for rec, a in zip(records, assignments):
         cluster_records[a].append(rec)
-    encoders: list[GNN] = []
-    accs: list[float] = []
-    for c in range(k):
+
+    def train(c: int) -> tuple[GNN, float]:
         samples = [record_to_sample(r, fe) for r in cluster_records[c]]
         gnn = GNN(d_in=fe.dim, dim=DIM, head="node_binary", seed=seed + c)
         labelled = [s for s in samples if (s.y_node >= 0).any()]
-        if labelled:
-            gnn.fit(labelled, epochs=epochs, seed=seed + c)
-            accs.append(gnn.accuracy(labelled))
-        else:
-            accs.append(float("nan"))
-        encoders.append(gnn)
+        if not labelled:
+            return gnn, float("nan")
+        gnn.fit(labelled, epochs=epochs, seed=seed + c)
+        return gnn, gnn.accuracy(labelled)
+
+    if spark is not None and k > 1:
+        sc = spark.sparkContext
+        trained = sc.parallelize(range(k), k).map(train).collect()
+    else:
+        trained = [train(c) for c in range(k)]
     return PretrainedBundle(
         feature_encoder=fe,
         centers=centers,
-        encoders=encoders,
+        encoders=[gnn for gnn, _ in trained],
         cluster_records=cluster_records,
-        train_acc=accs,
+        train_acc=[acc for _, acc in trained],
     )

@@ -95,6 +95,45 @@ class TestPretrainClustered:
         assert pretrain(hist, k=1, epochs=1).feature_encoder.p_max == 12
 
 
+def _bundle_bits(b: PretrainedBundle) -> dict:
+    """A bundle's every bit: encoder parameters as bytes, accuracies by
+    repr, centers by canonical key, each cluster's records."""
+    return {
+        "params": [{n: v.tobytes() for n, v in enc.params.items()} for enc in b.encoders],
+        "train_acc": repr(b.train_acc),
+        "centers": [c.canonical_key() for c in b.centers],
+        "records": b.cluster_records,
+    }
+
+
+class TestSparkTraining:
+    @staticmethod
+    def _pretrain_in_group(spark, group, history, **kw):
+        """``pretrain`` under job group ``group``, and the Spark jobs it
+        started."""
+        sc = spark.sparkContext
+        sc.setJobGroup(group, "pretrain")
+        try:
+            b = pretrain(history, epochs=3, seed=0, spark=spark, **kw)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        return b, sc.statusTracker().getJobIdsForGroup(group)
+
+    def test_clusters_train_in_one_job_bit_for_bit(self, spark, history):
+        """With k > 1 the encoders train in exactly one Spark job (the
+        elbow's k-means already knows every GED the final one needs, so
+        the assignment starts none), and the bundle equals the driver's."""
+        b, jobs = self._pretrain_in_group(spark, "pretrain-k-elbow", history, k=None)
+        assert len(b.encoders) == 2
+        assert len(jobs) == 1
+        assert _bundle_bits(b) == _bundle_bits(pretrain(history, k=None, epochs=3, seed=0))
+
+    def test_one_cluster_starts_no_job(self, spark, history):
+        b, jobs = self._pretrain_in_group(spark, "pretrain-k1", history, k=1)
+        assert jobs == []
+        assert _bundle_bits(b) == _bundle_bits(pretrain(history, k=1, epochs=3, seed=0))
+
+
 class TestWarmup:
     def test_warmup_dataset(self, bundle):
         h, p, y = bundle.warmup_dataset(0, max_points=120, seed=0)
