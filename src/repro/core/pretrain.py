@@ -128,19 +128,18 @@ def pretrain(
     """Cluster the history by GED and pre-train one GNN per cluster.
 
     ``k=None`` selects k with the elbow method over the distinct DAG
-    structures (paper §V-A). Each cluster's encoder trains independently
-    of the others; with ``spark`` and ``k > 1`` the clusters train in one
-    Spark job, an RDD of cluster indices with one partition each, the
-    records and feature encoder pickled with the worker function and the
-    trained encoders collected in cluster order, bit-identical to training
-    them in turn on the driver, as happens otherwise. ``spark`` also
-    reaches the k-means assignment step (see
-    :mod:`repro.graphs.clustering`). ``k == 1``
-    is the §VII fallback for limited histories, one global encoder: there
-    is nothing to cluster or route, no similarity center is searched for,
-    and the bundle's one center is the first record's DAG. The parallelism
-    scale is the ``p_max`` of the engine the history was recorded on, so
-    the history must come from a single engine."""
+    structures (paper §V-A). Each cluster's encoder trains on that
+    cluster's records alone. Given ``spark`` and ``k > 1``, the clusters
+    train in one Spark job: an RDD of cluster indices, one partition each,
+    with the records and the feature encoder pickled with the worker
+    function, and the encoders collected in cluster order. Otherwise they
+    train in turn on the driver; both give the same bits. ``spark`` also
+    reaches the k-means assignment step (:mod:`repro.graphs.clustering`).
+    ``k == 1`` is the §VII fallback for limited histories, one global
+    encoder: there is nothing to cluster or route, no similarity center is
+    searched for, and the bundle's one center is the first record's DAG.
+    The parallelism scale is the ``p_max`` of the engine the history was
+    recorded on, so the history must come from a single engine."""
     if not records:
         raise ValueError("empty history")
     systems = sorted({r.system for r in records})
@@ -176,8 +175,7 @@ def pretrain(
         return gnn, gnn.accuracy(labelled)
 
     if spark is not None and k > 1:
-        sc = spark.sparkContext
-        trained = sc.parallelize(range(k), k).map(train).collect()
+        trained = spark.sparkContext.parallelize(range(k), k).map(train).collect()
     else:
         trained = [train(c) for c in range(k)]
     return PretrainedBundle(
