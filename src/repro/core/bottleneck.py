@@ -11,6 +11,9 @@ Labels each operator of a deployed dataflow from *observed* metrics:
 
 The same routine serves pre-training label generation (over historical
 deployments) and online feedback collection (Algorithm 2, line 10).
+The other rules on observed metrics sit beside it: the saturation label
+augmentation both apply, and the "at the detection edge" test
+StreamTune's guard rails use; no other module reads the source throttle.
 """
 from __future__ import annotations
 
@@ -66,3 +69,17 @@ def saturated_ops(dag: DataflowDAG, result: SimResult) -> set[str]:
     return {
         o for o in dag.tunable_operators() if result.metrics[o].observed_cpu > 0.98
     }
+
+
+def on_edge(dag: DataflowDAG, result: SimResult) -> bool:
+    """True when a deployment is healthy only by the grace of the
+    detection threshold: detected backpressure, a source throttle below
+    0.95 (observable under the 10 % detection cut-off) or, where sources
+    never throttle, a tunable operator at observed CPU above 0.97. Such a
+    configuration flips to detected backpressure under engine jitter, so
+    StreamTune hardens it rather than memoising it as safe."""
+    if result.job_backpressure:
+        return True
+    if PROFILES[result.system].backpressure:
+        return result.throttle < 0.95
+    return any(result.metrics[o].observed_cpu > 0.97 for o in dag.tunable_operators())

@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30, 30)))
+from repro.core.gnn import _sigmoid
 
 
 def _stack(h, p) -> np.ndarray:

@@ -72,8 +72,8 @@ class PretrainedBundle:
         self,
         cluster: int,
         *,
-        max_points: int = 400,
-        seed: int = 0,
+        max_points: int,
+        seed: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """ConstructWarmUpDataset (Alg. 2 l.3): embed a sample of the
         cluster's history with the frozen encoder and pair each labelled

@@ -1,12 +1,13 @@
 """Online fine-tuning and parallelism recommendation — Algorithm 2.
 
 One :class:`StreamTuneTuner` is attached to a target streaming job. At
-construction it routes the job's DAG to its nearest GED cluster,
-retrieves the frozen pre-trained encoder, and starts T from the
-cluster's warm-up dataset. The warm-up set belongs to the cluster, not
-to the job: :class:`StreamTune` builds it, and the first model M_f⁰ fit
-to it, once per cluster for every tuner it makes. Each call to
-:meth:`tune` reacts to a source-rate change:
+construction it routes the job's DAG to its nearest GED cluster and
+retrieves the frozen pre-trained encoder. T is the cluster's warm-up
+dataset plus the job's own feedback ΔT. The warm-up set belongs to the
+cluster, not to the job: :class:`StreamTune` builds it, and the first
+model M_f⁰ fit to it, once per cluster for every tuner it makes, and a
+tuner keeps only ΔT. Each call to :meth:`tune` reacts to a source-rate
+change:
 
   do:
     fit the monotone model M_f to T;
@@ -26,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.bottleneck import label_operators, saturated_ops
+from repro.core.bottleneck import label_operators, on_edge, saturated_ops
 from repro.core.monotonic import make_model, min_safe_parallelism
 from repro.core.pretrain import PretrainedBundle, op_vectors
-from repro.sim.engine import PROFILES, SimResult, simulate
+from repro.sim.engine import SimResult, simulate
 from repro.sim.workloads import Workload
 
 #: Paper §V-A: "a 10-minute wait is enforced between reconfigurations".
@@ -92,11 +93,6 @@ class TuningProcess:
         self.par = dict(current)
         self.n_reconfigs = self.backpressure_events = 0
 
-    @property
-    def tuning_minutes(self) -> float:
-        """Virtual tuning time: one stabilisation wait per reconfiguration."""
-        return self.n_reconfigs * STABILISATION_MINUTES
-
     def changes(self, target: dict[str, int]) -> bool:
         """True when ``target`` changes a degree (an undeployed one is 1)."""
         return any(target[o] != self.par.get(o, 1) for o in target)
@@ -142,46 +138,35 @@ def _fit(kind: str, seed: int, h, p, y, w):
     return make_model(kind, d=h.shape[1], seed=seed).fit(h, p, y, sample_weight=w)
 
 
-@dataclass
-class WarmStart:
-    """A cluster's warm start (Alg. 2, line 3): the warm-up points
-    ``(h, p, y)`` drawn from its history, and per fine-tune kind the first
-    model M_f⁰ fit to them alone (None where they hold one class), fit on
-    first use. A tuner copies the points into its own T and only reads
-    the models."""
-
-    h: np.ndarray
-    p: np.ndarray
-    y: np.ndarray
-    seed: int
-    models: dict[str, object] = field(default_factory=dict)
-
-    def model(self, kind: str):
-        if kind not in self.models:
-            self.models[kind] = _fit(kind, self.seed, self.h, self.p, self.y, np.ones(len(self.y)))
-        return self.models[kind]
-
-
 class StreamTune:
     """StreamTune on one pre-trained bundle with one seed: it makes the
-    tuners and owns what they share. A warm start depends only on the
-    bundle, the cluster and the seed, so each cluster's is built once, for
-    the first tuner routed to it, and handed to every later one."""
+    tuners and owns what they share. A cluster's warm start depends only
+    on the bundle, the cluster and the seed, so it is built once, for the
+    first tuner routed to it, and handed to every later one."""
 
     def __init__(self, bundle: PretrainedBundle, seed: int) -> None:
         self.bundle, self.seed = bundle, seed
-        self._warm: dict[int, WarmStart] = {}
+        self._warm: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._first: dict[tuple[int, str], object] = {}
 
     def tuner(self, workload: Workload, model_kind: str) -> StreamTuneTuner:
         """A tuner for ``workload`` whose fine-tune model is ``model_kind``."""
         return StreamTuneTuner(self, workload, model_kind)
 
-    def warm_start(self, cluster: int) -> WarmStart:
-        """The cluster's warm start, built on first use."""
+    def warm_start(self, cluster: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cluster's warm-up points ``(h, p, y)`` drawn from its
+        history (Alg. 2, line 3), built on first use."""
         if cluster not in self._warm:
-            h, p, y = self.bundle.warmup_dataset(cluster, max_points=WARM_POINTS, seed=self.seed)
-            self._warm[cluster] = WarmStart(h, p, y, self.seed)
+            self._warm[cluster] = self.bundle.warmup_dataset(cluster, max_points=WARM_POINTS, seed=self.seed)
         return self._warm[cluster]
+
+    def first_model(self, cluster: int, kind: str):
+        """M_f⁰ of ``kind``: fit to the cluster's warm-up points alone
+        (None where they hold one class), on first use."""
+        if (cluster, kind) not in self._first:
+            h, p, y = self.warm_start(cluster)
+            self._first[cluster, kind] = _fit(kind, self.seed, h, p, y, np.ones(len(y)))
+        return self._first[cluster, kind]
 
 
 class StreamTuneTuner:
@@ -194,33 +179,32 @@ class StreamTuneTuner:
         self.seed = owner.seed
         self.cluster = self.bundle.cluster_for(workload.dag)  # Alg. 2, line 1
         self.enc = self.bundle.encoders[self.cluster]  # line 2
-        self._warm = owner.warm_start(self.cluster)  # line 3
-        self._h: list[np.ndarray] = list(self._warm.h)
-        self._p: list[float] = list(self._warm.p)
-        self._y: list[int] = list(self._warm.y)
-        #: sample weights: 1 per warm-up point, FEEDBACK_WEIGHT per ΔT point
-        self._w: list[float] = [1.0] * len(self._y)
+        self._owner = owner
+        self._warm = owner.warm_start(self.cluster)  # line 3, shared
+        #: ΔT: this job's feedback points (h, p, y), oldest first
+        self._fb: list[tuple[np.ndarray, float, int]] = []
         self._rates: dict[tuple, _AtRate] = {}
         self._deployer = Deployer(workload, self.seed, 7919)
-        #: Model cache: refit only when T has grown meaningfully.
+        #: Model cache: refit only when ΔT has grown meaningfully.
         self._model = None
         self._fitted_at = -1
 
     # -- helpers -----------------------------------------------------------
     def _fit_model(self):
-        """Fit M_f (monotone) to the current dataset T (Alg. 2, line 5).
+        """Fit M_f (monotone) to T = warm-up points + ΔT (Alg. 2, line 5),
+        weighting warm-up points 1 and feedback ``FEEDBACK_WEIGHT``.
         Cached between calls until enough new feedback accumulates; while
-        T holds only the warm-up points, M_f is the cluster's shared M_f⁰."""
-        n = len(self._y)
+        ΔT is empty, M_f is the cluster's shared M_f⁰."""
+        n = len(self._fb)
         if self._model is not None and n - self._fitted_at < REFIT_MIN_NEW:
             return self._model
-        if n == len(self._warm.y):
-            self._model = self._warm.model(self.model_kind)
+        if not self._fb:
+            self._model = self._owner.first_model(self.cluster, self.model_kind)
         else:
-            self._model = _fit(
-                self.model_kind, self.seed, np.vstack(self._h),
-                np.asarray(self._p), np.asarray(self._y), np.asarray(self._w),
-            )
+            (h, p, y), (fh, fp, fy) = self._warm, zip(*self._fb)
+            w = np.concatenate([np.ones(len(y)), np.full(n, FEEDBACK_WEIGHT)])
+            self._model = _fit(self.model_kind, self.seed, np.vstack([h, *fh]),
+                               np.concatenate([p, fp]), np.concatenate([y, fy]), w)
         self._fitted_at = n
         return self._model
 
@@ -252,10 +236,7 @@ class StreamTuneTuner:
             if lab < 0 and not saturated:
                 continue
             eff = 1 if (lab == 1 or saturated) else 0
-            self._h.append(emb[oid])
-            self._p.append(float(fe.scale_parallelism(p_now)))
-            self._y.append(eff)
-            self._w.append(FEEDBACK_WEIGHT)
+            self._fb.append((emb[oid], float(fe.scale_parallelism(p_now)), eff))
             if lab == 1:
                 floor[oid] = max(floor.get(oid, 0), p_now)
             elif saturated:  # workable but marginal: never trim below it
@@ -310,7 +291,8 @@ class StreamTuneTuner:
         emb = self._embeddings(rates)
         key = self._rate_key(rates)
         at = self._rates.setdefault(key, _AtRate())
-        ops = self.wl.dag.tunable_operators()
+        dag = self.wl.dag
+        ops = dag.tunable_operators()
 
         def deploy(par, r):
             res = self._deployer(par, r)
@@ -319,28 +301,11 @@ class StreamTuneTuner:
 
         proc = TuningProcess(deploy, current, rates)
 
-        def at_edge(res) -> bool:
-            """True when the deployment is healthy only by the grace of
-            the detection threshold: some backpressured time exists (the
-            raw metric is observable below the 10 % detection cut-off) or
-            an operator's observed CPU is effectively saturated. Such
-            configs flip to detected backpressure under engine jitter, so
-            they are hardened rather than memoised as safe."""
-            if res.job_backpressure:
-                return True
-            if PROFILES[self.wl.system].backpressure:
-                return res.throttle < 0.95
-            return any(
-                m.observed_cpu > 0.97
-                for o, m in res.metrics.items()
-                if self.wl.dag.op(o).op_type not in ("source", "sink")
-            )
-
         def harden(res):
             """Bump operators at near-saturated observed CPU until off the edge."""
             r = res
             for _ in range(3):
-                if not at_edge(r):
+                if not on_edge(dag, r):
                     return r
                 bumps = {
                     o: min(self.wl.p_max, proc.par[o] + max(1, int(0.05 * proc.par[o])))
@@ -389,20 +354,20 @@ class StreamTuneTuner:
             if any(stepped[o] < par[o] for o in stepped):
                 safe = {o: par[o] for o in stepped}  # verified revert point
                 res2 = proc.to(stepped)
-                if at_edge(res2):
+                if on_edge(dag, res2):
                     at.cooldown = TRIM_COOLDOWN_VISITS
                     res2 = proc.to(safe)
-                return res2 if not at_edge(res2) else res
+                return res2 if not on_edge(dag, res2) else res
             return res
 
         def settle(res) -> TuningProcess:
             """Harden a healthy deployment, trim it once off the edge, and
             memoise the outcome if it stays off the edge."""
             res = harden(res)
-            if not at_edge(res):
+            if not on_edge(dag, res):
                 res = try_trim(res)
             proc.finish(ops)
-            if not at_edge(res):
+            if not on_edge(dag, res):
                 at.safe = dict(proc.final_parallelism)
             return proc
 
@@ -448,16 +413,28 @@ class PatternRunStats:
 
     job: str
     method: str
-    n_processes: int = 0
-    total_reconfigs: int = 0
+    #: reconfigurations of each tuning process, in pattern order
+    reconfigs: list[int] = field(default_factory=list)
     total_backpressure: int = 0
     #: the parallelism vector reached at each multiplier (last visit)
     parallelism_at: dict[int, dict[str, int]] = field(default_factory=dict)
-    tuning_minutes: list[float] = field(default_factory=list)
+
+    @property
+    def n_processes(self) -> int:
+        return len(self.reconfigs)
+
+    @property
+    def total_reconfigs(self) -> int:
+        return sum(self.reconfigs)
 
     @property
     def avg_reconfigs(self) -> float:
         return self.total_reconfigs / max(1, self.n_processes)
+
+    @property
+    def tuning_minutes(self) -> list[float]:
+        """Virtual time of each process: one stabilisation wait per reconfiguration."""
+        return [n * STABILISATION_MINUTES for n in self.reconfigs]
 
     @property
     def final_parallelism_at(self) -> dict[int, int]:
@@ -481,9 +458,7 @@ def run_pattern(
     for mult in pattern:
         out = tuner.tune(par, workload.rates(mult))
         par = dict(out.final_parallelism)
-        stats.n_processes += 1
-        stats.total_reconfigs += out.n_reconfigs
+        stats.reconfigs.append(out.n_reconfigs)
         stats.total_backpressure += out.backpressure_events
         stats.parallelism_at[mult] = par
-        stats.tuning_minutes.append(out.tuning_minutes)
     return stats

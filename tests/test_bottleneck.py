@@ -1,8 +1,10 @@
 """Tests for Algorithm 1 — operator-level bottleneck identification."""
+from dataclasses import replace
+
 import pytest
 
 from repro.core import bottleneck
-from repro.core.bottleneck import CPU_THRESHOLD, UNLABELLED, label_operators, saturated_ops
+from repro.core.bottleneck import CPU_THRESHOLD, UNLABELLED, label_operators, on_edge, saturated_ops
 from repro.graphs.dag import DataflowDAG, Operator
 from repro.sim.engine import simulate, unit_rate
 
@@ -108,6 +110,37 @@ class TestTimelyDeficit:
         assert res.job_backpressure
         assert label_operators(dag, res) == {"src": 0, "f": 0, "m": 1, "k": UNLABELLED}
         assert saturated_ops(dag, res) == set()
+
+
+def _healthy(system: str, cpu: dict[str, float] | None = None):
+    """A backpressure-free Fig. 3 deployment on ``system`` whose observed
+    CPU is 0.5 everywhere except the given ``cpu`` overrides."""
+    dag = _fig3_dag()
+    res = simulate(dag, {o: 50 for o in dag.tunable_operators()}, {"in": 1000.0},
+                   system=system, seed=0)
+    assert not res.job_backpressure
+    cpu = {o: 0.5 for o in res.metrics} | (cpu or {})
+    return dag, replace(res, metrics={o: replace(m, observed_cpu=cpu[o]) for o, m in res.metrics.items()})
+
+
+class TestOnEdge:
+    """The detection-edge test StreamTune's guard rails share."""
+
+    @pytest.mark.parametrize("system", ["flink", "timely"])
+    def test_detected_backpressure_is_on_the_edge(self, system):
+        dag, res = _healthy(system)
+        assert not on_edge(dag, res)
+        assert on_edge(dag, replace(res, job_backpressure=True))
+
+    @pytest.mark.parametrize("throttle, edge", [(1.0, False), (0.96, False), (0.94, True)])
+    def test_flink_reads_the_source_throttle(self, throttle, edge):
+        dag, res = _healthy("flink", {"o2": 0.99})
+        assert on_edge(dag, replace(res, throttle=throttle)) is edge
+
+    @pytest.mark.parametrize("op, edge", [("o2", True), ("src", False), ("k", False)])
+    def test_timely_reads_tunable_operators_cpu(self, op, edge):
+        dag, res = _healthy("timely", {op: 0.98})
+        assert on_edge(dag, res) is edge
 
 
 class TestHelpers:

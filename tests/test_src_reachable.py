@@ -12,7 +12,8 @@ same parse also checks that the tuners reach the engine through one
 path, that no module but ``graphs/dag.py`` changes a DAG after it is
 built, that only ``HistoryRecord.to_row`` serialises a DAG, that no
 module branches on an engine's name, that no module but the catalogue
-names a job, and that the tuners read no simulator ground truth.
+names a job, that the tuners read no simulator ground truth, and that
+only Algorithm 1's module reads the source throttle.
 """
 import ast
 import re
@@ -446,3 +447,37 @@ x = r.idle
     assert _ground_truth_reads(ast.parse(src), "mod") == {
         ("mod", "g", "busy"), ("mod", "f", "input_rate"), ("mod", "<module>", "idle"),
     }
+
+
+def _throttle_reads(tree) -> list[int]:
+    """Lines of ``tree`` that load a ``.throttle`` attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "throttle" and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_only_bottleneck_reads_the_throttle():
+    # ``SimResult.throttle`` is Flink's source throttle α. The engine only
+    # sets it; the rules that read it (saturation labels, the detection
+    # edge) live in ``core/bottleneck.py``, so no tuner keeps its own copy.
+    own = _SRC / "repro" / "core" / "bottleneck.py"
+    hits = {
+        _module_name(p, _SRC): lines
+        for p in (_SRC / "repro").rglob("*.py")
+        if p != own and (lines := _throttle_reads(ast.parse(p.read_text())))
+    }
+    assert not hits, f"read SimResult.throttle outside core/bottleneck.py: {hits}"
+
+
+def test_throttle_scan_sees_reads():
+    src = """
+ok = res.throttle < 0.95
+a = r.metrics, self.last.throttle
+res.throttle = 1.0
+SimResult(system="x", metrics={}, job_backpressure=False, throttle=alpha)
+throttle = 0.5
+f(getattr(res, "other"), x.throttle)
+"""
+    assert _throttle_reads(ast.parse(src)) == [2, 3, 7]

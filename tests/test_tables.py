@@ -3,13 +3,14 @@ and for the evaluation harness on both engines at tiny knobs (the
 full-scale sweeps are exercised by the benchmarks)."""
 import functools
 
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro import tables
 from repro.core.monotonic import MonotoneGBDT
 from repro.core.pretrain import PretrainedBundle, pretrain
-from repro.core.tuner import PatternRunStats, StreamTune, run_pattern
+from repro.core.tuner import FEEDBACK_WEIGHT, REFIT_MIN_NEW, PatternRunStats, StreamTune, run_pattern
 from repro.history import generate_history_local
 from repro.sim.workloads import nexmark_catalogue
 from repro.tables import (
@@ -29,11 +30,12 @@ from repro.tables import (
 
 
 def _stats(job, method, bp, reconf_total, n, p10):
+    """``n`` processes whose reconfigurations sum to ``reconf_total``."""
     s = PatternRunStats(job=job, method=method)
-    s.n_processes = n
+    s.reconfigs = [reconf_total // n + (i < reconf_total % n) for i in range(n)]
     s.total_backpressure = bp
-    s.total_reconfigs = reconf_total
     s.parallelism_at = {10: {"op": p10}}
+    assert (s.n_processes, s.total_reconfigs) == (n, reconf_total)
     return s
 
 
@@ -225,7 +227,7 @@ class TestHarness:
         cfg = EvalConfig(system="timely", pattern_perms=1, history_per_workload=20,
                          pretrain_epochs=2, seed=3)
         run = run_evaluation(cfg)
-        n_warm = len(run.streamtune.warm_start(0).y)
+        n_warm = len(run.streamtune.warm_start(0)[2])
         assert (len(builds), fits.count(n_warm)) == (1, 1)
 
         shared = run.stats["StreamTune"]
@@ -240,6 +242,31 @@ class TestHarness:
         assert [s.job for col in alone.values() for s in col] == ["nexmark_q3", "nexmark_q5", "nexmark_q8"]
         assert alone == shared
         assert (len(builds), fits.count(n_warm)) == (4, 4)
+
+        # Two tuners of one StreamTune read the same warm-up arrays, not
+        # copies, and the first refit is fit to them plus ΔT, weighted 1
+        # and FEEDBACK_WEIGHT.
+        (a,), (b,) = run.jobs["Q3"], run.jobs["Q5"]
+        ta, tb = (run.streamtune.tuner(wl, cfg.model_kind) for wl in (a, b))
+        assert all(x is y for x, y in zip(ta._warm, tb._warm))
+        seen = []
+        monkeypatch.setattr(
+            MonotoneGBDT, "fit",
+            lambda m, h, p, y, **kw: seen.append((h, p, y, kw["sample_weight"], list(ta._fb)))
+            or fit(m, h, p, y, **kw),
+        )
+        par = {o: 1 for o in a.dag.tunable_operators()}
+        for mult in run.pattern:
+            par = ta.tune(par, a.rates(mult)).final_parallelism
+            if seen:
+                break
+        h, p, y, w, fb = seen[0]
+        (wh, wp, wy), (fh, fp, fy) = ta._warm, zip(*fb)
+        assert len(fb) >= REFIT_MIN_NEW
+        np.testing.assert_array_equal(h, np.vstack([wh, *fh]))
+        np.testing.assert_array_equal(p, np.concatenate([wp, fp]))
+        np.testing.assert_array_equal(y, np.concatenate([wy, fy]))
+        assert list(w) == [1.0] * n_warm + [FEEDBACK_WEIGHT] * len(fb)
 
     @pytest.mark.parametrize("system", ["flink", "timely"])
     def test_tables_match_recorded(self, system):

@@ -51,7 +51,8 @@ class TestConstruction:
         cat, bundle = setup
         t = StreamTune(bundle, 1).tuner(cat["nexmark_q5"], "xgboost")
         assert t.cluster == 0
-        assert len(t._y) > 50
+        assert len(t._warm[2]) > 50
+        assert t._fb == []
 
     def test_model_fit_cached(self, setup):
         cat, bundle = setup
@@ -122,15 +123,21 @@ class TestCrossRateTransfer:
 
 
 class TestFeedback:
-    def test_feedback_grows_dataset(self, setup):
+    def test_feedback_grows_dataset(self, setup, monkeypatch):
         cat, bundle = setup
         wl = cat["nexmark_q5"]
         t = StreamTune(bundle, 1).tuner(wl, "xgboost")
-        n0 = len(t._y)
+        warm = [a.copy() for a in t._warm]
         t.tune({o: 1 for o in wl.dag.tunable_operators()}, wl.rates(7))
-        assert len(t._y) > n0
-        assert all(w >= 1.0 for w in t._w)
-        assert max(t._w) == FEEDBACK_WEIGHT
+        assert t._fb
+        assert all(0.0 < p <= 1.0 and y in (0, 1) for _, p, y in t._fb)
+        for a, b in zip(t._warm, warm):  # ΔT is the tuner's, the warm-up set stays
+            np.testing.assert_array_equal(a, b)
+        seen = []
+        monkeypatch.setattr(tuner_mod, "_fit", lambda *args: seen.append(args[-1]))
+        t._model = None
+        t._fit_model()
+        assert list(seen[0]) == [1.0] * len(warm[2]) + [FEEDBACK_WEIGHT] * len(t._fb)
 
     def test_timely_saturation_labelled_as_in_history(self):
         """A Timely operator at ~1.05× its processing ability is CPU
@@ -147,10 +154,9 @@ class TestFeedback:
         assert not res.job_backpressure
         rec = _deploy_and_label(wl.name, wl.dag, "timely", rates, par, 3)
         emb = t._embeddings(rates)
-        n0 = len(t._y)
         t._collect_feedback(res, emb, {})
         ops = [o for o in rec.labels if o in emb]
-        assert dict(zip(ops, t._y[n0:])) == {o: rec.labels[o] for o in ops}
+        assert dict(zip(ops, (y for _, _, y in t._fb))) == {o: rec.labels[o] for o in ops}
 
 
 def _fake_deploy(backpressure: bool):
@@ -239,7 +245,6 @@ def test_tune_returns_its_process(pqp_tuners, method):
     out = makers[method]().tune({o: 1 for o in ops}, wl.rates(5))
     assert isinstance(out, TuningProcess)
     assert list(out.final_parallelism) == ops
-    assert out.tuning_minutes == out.n_reconfigs * tuner_mod.STABILISATION_MINUTES
 
 class TestPattern:
     def test_pattern_run_statistics(self, setup):
@@ -254,7 +259,8 @@ class TestPattern:
         assert st.final_parallelism_at == {
             m: sum(v.values()) for m, v in st.parallelism_at.items()
         }
-        assert len(st.tuning_minutes) == 5
+        assert st.total_reconfigs == sum(st.reconfigs)
+        assert st.tuning_minutes == [n * tuner_mod.STABILISATION_MINUTES for n in st.reconfigs]
 
     def test_backpressure_rare_across_pattern(self, setup):
         """The headline property: (near-)zero backpressure occurrences."""
